@@ -35,11 +35,8 @@ DeadlineResult propagate_deadline(const TraceWarehouse& warehouse, SimTime from,
       return;
     }
     if (seen++ % stride != 0) return;
-    const CriticalPath cp = [&] {
-      SORA_PROFILE_STAGE("trace.critical_path");
-      return extract_critical_path(t);
-    }();
-    const SimTime upstream = upstream_processing_time(cp, critical);
+    const SimTime upstream =
+        upstream_processing_time(critical_path_of(t), critical);
     if (upstream < 0) return;  // critical service not on this path
     upstream_sum += static_cast<double>(upstream);
     ++result.traces_used;

@@ -64,10 +64,7 @@ CriticalServiceLocalizer::CriticalServiceLocalizer(Application& app,
 
 void CriticalServiceLocalizer::accumulate(const Trace& t) {
   ++window_traces_;
-  const CriticalPath cp = [&] {
-    SORA_PROFILE_STAGE("trace.critical_path");
-    return extract_critical_path(t);
-  }();
+  const CriticalPath& cp = critical_path_of(t);
   for (const CriticalHop& hop : cp.hops) {
     const std::uint64_t sid = hop.service.value();
     if (sid >= accum_.size()) continue;  // defensive: unknown service

@@ -176,6 +176,9 @@ obs::CausalEffect CausalLab::evaluate(const obs::Perturbation& p) const {
   effect.base_knee = knee_for(*baseline_, p.service);
   effect.cf_knee = knee_for(*exp, p.service);
 
+  // evaluate() runs on sweep workers, several at once, all reading the
+  // shared baseline warehouse: the diff must stay read-only on its traces
+  // and never call critical_path_of(), which fills a per-trace cache.
   effect.diff =
       diff_warehouses(baseline_->warehouse(), exp->warehouse(),
                       options_.checkpoint, options_.checkpoint + window_);

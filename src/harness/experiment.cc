@@ -8,6 +8,7 @@
 
 #include "common/log.h"
 #include "sim/partition.h"
+#include "trace/critical_path.h"
 
 namespace sora {
 
@@ -267,9 +268,13 @@ void Experiment::enable_slo_analytics(SloAnalyticsOptions options) {
       [this](ServiceId id) { return app_->service_name(id); });
 
   // Stamp deadline/slack annotations before the warehouse (or any other
-  // listener) sees the trace, so stored spans carry their budget.
-  tracer_.set_trace_finalizer(
-      [this](Trace& t) { obs::annotate_budget(t, config_.sla); });
+  // listener) sees the trace, so stored spans carry their budget. Extract
+  // the critical path here too: the warehouse's copy then shares it with the
+  // attribution listener below, and the trace is walked once, not twice.
+  tracer_.set_trace_finalizer([this](Trace& t) {
+    obs::annotate_budget(t, config_.sla);
+    (void)critical_path_of(t);
+  });
 
   tracer_.add_trace_listener([this](const Trace& t) {
     // Traces with a shed hop never produced an end-user response; the

@@ -27,7 +27,6 @@ void LatencyRecorder::record(SimTime rt, bool ok) {
     ++b.shed;
     return;
   }
-  hist_.record(rt);
   sketch_.record(static_cast<double>(rt));
   ++b.completed;
   if (rt <= sla_) ++b.good;

@@ -1,10 +1,10 @@
 // End-to-end latency and goodput recording.
 //
 // The recorder is wired as the workload generator's completion observer. It
-// maintains (a) a mergeable quantile sketch plus a log-bucketed histogram
-// for tail percentiles (Table 2) in memory independent of the sample count,
-// (b) a per-bucket timeline of mean/max response time, throughput and
-// goodput for the figure-style timeline plots (Figures 10-12), and (c) a
+// maintains (a) a mergeable quantile sketch for tail percentiles and the
+// mean (Table 2) in memory independent of the sample count, (b) a
+// per-bucket timeline of mean/max response time, throughput and goodput
+// for the figure-style timeline plots (Figures 10-12), and (c) a
 // linear-grid view of the response-time distribution derived from the
 // sketch (Figure 4).
 #pragma once
@@ -44,8 +44,8 @@ class LatencyRecorder {
 
   /// Record one completed request. `ok == false` means admission control
   /// shed it: the rejection counts against goodput (it is not a served
-  /// response) but stays out of the latency sketch/histogram, so
-  /// percentiles describe admitted requests only.
+  /// response) but stays out of the latency sketch, so percentiles describe
+  /// admitted requests only.
   void record(SimTime rt, bool ok = true);
 
   // -- summary ----------------------------------------------------------------
@@ -58,7 +58,10 @@ class LatencyRecorder {
   /// sketch (relative error bounded by the sketch's accuracy, default 1%).
   /// Returns kNoSample when nothing has been recorded.
   double percentile_ms(double p) const;
-  double mean_ms() const { return to_msec(static_cast<SimTime>(hist_.mean())); }
+  /// Mean served response time: the sketch's running sum over its count.
+  double mean_ms() const {
+    return to_msec(static_cast<SimTime>(sketch_.mean()));
+  }
 
   /// Goodput in requests/second over the whole recording window.
   double average_goodput() const;
@@ -78,7 +81,6 @@ class LatencyRecorder {
   /// granularity).
   LinearHistogram distribution_ms(double bucket_ms, std::size_t buckets) const;
 
-  const LatencyHistogram& histogram() const { return hist_; }
   /// The mergeable response-time sketch (microsecond unit), for SLO
   /// reporting and cross-run aggregation.
   const obs::QuantileSketch& sketch() const { return sketch_; }
@@ -91,7 +93,6 @@ class LatencyRecorder {
   SimTime bucket_;
   SimTime start_;
   std::uint64_t shed_ = 0;
-  LatencyHistogram hist_;
   obs::QuantileSketch sketch_;
   std::vector<TimelineBucket> timeline_;
 };

@@ -28,7 +28,7 @@ TraceBudget attribute_budget(const Trace& trace, SimTime sla) {
   out.sla = sla;
   out.response = trace.response_time();
   out.met_sla = out.response <= sla;
-  const CriticalPath path = extract_critical_path(trace);
+  const CriticalPath& path = critical_path_of(trace);
   out.hops.reserve(path.hops.size());
   SimTime upstream = 0;
   for (const CriticalHop& hop : path.hops) {

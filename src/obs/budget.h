@@ -47,7 +47,9 @@ struct TraceBudget {
   const HopBudget* top_consumer() const;
 };
 
-/// Decompose `trace`'s critical path into per-hop budget consumption.
+/// Decompose `trace`'s critical path into per-hop budget consumption. Reads
+/// the path through critical_path_of(), so call it only from the thread of
+/// the experiment that owns `trace`.
 TraceBudget attribute_budget(const Trace& trace, SimTime sla);
 
 /// Stamp budget_deadline/budget_slack on every span of `trace` (not just the

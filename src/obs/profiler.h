@@ -22,10 +22,12 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sora::obs {
@@ -88,7 +90,9 @@ class OverheadProfiler {
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, StageStats> stages_;
+  // Transparent comparator: record() looks stages up by string_view, so
+  // only a stage's first call builds a std::string key.
+  std::map<std::string, StageStats, std::less<>> stages_;
 };
 
 }  // namespace sora::obs

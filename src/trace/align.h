@@ -93,7 +93,9 @@ TraceAlignment align_spans(const Trace& base, const Trace& cf,
 /// Difference every baseline trace starting in [from, to] against the
 /// counterfactual warehouse (matched by TraceId). Traces whose twin is
 /// missing on either side are counted, not matched. The returned edge list
-/// is sorted by |total duration delta| descending.
+/// is sorted by |total duration delta| descending. Read-only on both
+/// warehouses (it never fills a trace's critical-path cache), so concurrent
+/// diffs may share one baseline warehouse.
 DiffSummary diff_warehouses(const TraceWarehouse& base,
                             const TraceWarehouse& cf, SimTime from, SimTime to);
 

@@ -1,6 +1,9 @@
 #include "trace/critical_path.h"
 
+#include <memory>
 #include <unordered_map>
+
+#include "obs/profiler.h"
 
 namespace sora {
 
@@ -48,6 +51,15 @@ CriticalPath extract_critical_path(const Trace& trace) {
     current = next;
   }
   return path;
+}
+
+const CriticalPath& critical_path_of(const Trace& trace) {
+  if (trace.critical_path_ == nullptr) {
+    SORA_PROFILE_STAGE("trace.critical_path");
+    trace.critical_path_ =
+        std::make_shared<const CriticalPath>(extract_critical_path(trace));
+  }
+  return *trace.critical_path_;
 }
 
 SimTime upstream_processing_time(const CriticalPath& path, ServiceId service) {

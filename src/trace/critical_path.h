@@ -35,8 +35,17 @@ struct CriticalPath {
   }
 };
 
-/// Extract the critical path of a completed trace.
+/// Extract the critical path of a completed trace. Pure: walks the spans
+/// on every call.
 CriticalPath extract_critical_path(const Trace& trace);
+
+/// The critical path of `trace`, extracted on the first call and memoized on
+/// the trace (copies made afterwards share it), so the localizer, deadline
+/// propagation and budget attribution walk each trace once between them.
+/// Only the real extraction is timed, as the "trace.critical_path" profiler
+/// stage. Not thread-safe: call it only from the thread of the experiment
+/// that owns `trace`, and never after mutating its spans.
+const CriticalPath& critical_path_of(const Trace& trace);
 
 /// Sum of processing times of hops strictly above (upstream of) `service`
 /// on the critical path; used by deadline propagation:

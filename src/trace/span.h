@@ -9,12 +9,15 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/time.h"
 
 namespace sora {
+
+struct CriticalPath;  // trace/critical_path.h
 
 /// One downstream call issued by a span. `parallel_group` identifies calls
 /// issued concurrently (same group fires together); groups execute in
@@ -88,6 +91,12 @@ struct Span {
 /// differences between shard interleavings never escape.) A deque rather
 /// than a vector: appending a span must not invalidate references to spans
 /// already held by concurrently executing shard lanes.
+///
+/// A completed trace also carries its critical path, extracted on first use
+/// by critical_path_of() and shared by every copy made afterwards (the
+/// warehouse's, say). The slot is filled lazily inside a const object, so a
+/// trace may be handed to critical_path_of() only on the thread of the
+/// experiment that owns it, and its spans must not change once it has been.
 struct Trace {
   TraceId id;
   int request_class = 0;
@@ -106,6 +115,11 @@ struct Trace {
     }
     return false;
   }
+
+ private:
+  friend const CriticalPath& critical_path_of(const Trace& trace);
+  /// Empty until critical_path_of() first runs on this trace.
+  mutable std::shared_ptr<const CriticalPath> critical_path_;
 };
 
 }  // namespace sora

@@ -1,9 +1,19 @@
-// Tests for critical-path extraction and upstream processing-time sums.
+// Tests for critical-path extraction, its per-trace memo and upstream
+// processing-time sums.
 #include "trace/critical_path.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/sora.h"
+#include "obs/profiler.h"
+#include "svc/application.h"
 #include "test_util.h"
+#include "trace/tracer.h"
+#include "trace/warehouse.h"
+#include "workload/generator.h"
 
 namespace sora {
 namespace {
@@ -170,6 +180,126 @@ TEST(CriticalPath, ProcessingTimeBoundedByDuration) {
     pt_sum += hop.processing_time;
   }
   EXPECT_LE(pt_sum, cp.total_duration);
+}
+
+// --- memoized access: critical_path_of --------------------------------------
+
+/// Calls recorded so far for one stage of the global profiler.
+std::uint64_t stage_calls(const std::string& stage) {
+  for (const obs::StageStats& s : obs::OverheadProfiler::global().stats()) {
+    if (s.stage == stage) return s.calls;
+  }
+  return 0;
+}
+
+void expect_same_path(const CriticalPath& a, const CriticalPath& b) {
+  EXPECT_EQ(a.total_duration, b.total_duration);
+  ASSERT_EQ(a.hops.size(), b.hops.size());
+  for (std::size_t i = 0; i < a.hops.size(); ++i) {
+    EXPECT_EQ(a.hops[i].service, b.hops[i].service) << "hop " << i;
+    EXPECT_EQ(a.hops[i].span, b.hops[i].span) << "hop " << i;
+    EXPECT_EQ(a.hops[i].processing_time, b.hops[i].processing_time);
+    EXPECT_EQ(a.hops[i].span_duration, b.hops[i].span_duration);
+  }
+}
+
+/// Every trace shape the extraction tests above exercise, plus one whose
+/// longest child is an async callback (never on the critical path).
+std::vector<Trace> fixtures() {
+  std::vector<Trace> out;
+  out.push_back(testutil::make_trace({{-1, 0, 0, 1000, 0}}));
+  out.push_back(testutil::make_trace(
+      {{-1, 0, 0, 100, 80}, {0, 1, 10, 90, 60}, {1, 2, 20, 80, 0}}));
+  out.push_back(testutil::make_trace(
+      {{-1, 0, 0, 100, 80}, {0, 1, 10, 40, 0, 0}, {0, 2, 10, 90, 0, 0}}));
+  out.push_back(testutil::make_trace(
+      {{-1, 0, 0, 200, 150}, {0, 1, 10, 60, 0, 0}, {0, 2, 70, 170, 0, 1}}));
+  out.push_back(testutil::make_trace({{-1, 0, 0, 1000, 900},
+                                      {0, 1, 50, 900, 700},
+                                      {0, 2, 50, 300, 0},
+                                      {1, 3, 100, 750, 0}}));
+  out.push_back(Trace{});
+  // Tied child durations.
+  out.push_back(testutil::make_trace(
+      {{-1, 0, 0, 100, 80}, {0, 1, 10, 90, 0, 0}, {0, 2, 10, 90, 0, 0}}));
+  // Dangling child reference.
+  Trace dangling = testutil::make_trace(
+      {{-1, 0, 0, 100, 80}, {0, 1, 10, 90, 60}, {1, 2, 20, 80, 0}});
+  dangling.spans.erase(dangling.spans.begin() + 1);
+  out.push_back(dangling);
+  // Mid-chain gap.
+  Trace gap = testutil::make_trace({{-1, 0, 0, 500, 430},
+                                    {0, 1, 20, 450, 350},
+                                    {1, 2, 50, 400, 270},
+                                    {2, 3, 80, 350, 0}});
+  gap.spans.erase(gap.spans.begin() + 2);
+  out.push_back(gap);
+  // Async callback child outlasting the synchronous one.
+  Trace async = testutil::make_trace(
+      {{-1, 0, 0, 100, 40}, {0, 1, 10, 50, 0, 0}, {0, 2, 90, 900, 0, 0}});
+  async.spans[0].children[1].async = true;
+  async.spans[0].children[1].parallel_group = -1;
+  out.push_back(async);
+  return out;
+}
+
+TEST(CriticalPathOf, MatchesExtractionOnEveryFixture) {
+  const std::vector<Trace> all = fixtures();
+  for (const Trace& t : all) {
+    expect_same_path(critical_path_of(t), extract_critical_path(t));
+  }
+  // The async fixture descends into the synchronous child only.
+  const CriticalPath& async = critical_path_of(all.back());
+  ASSERT_EQ(async.hops.size(), 2u);
+  EXPECT_EQ(async.hops[1].service, ServiceId(1));
+}
+
+TEST(CriticalPathOf, SecondCallIsMemoized) {
+  const Trace t = testutil::make_trace(
+      {{-1, 0, 0, 100, 80}, {0, 1, 10, 90, 60}, {1, 2, 20, 80, 0}});
+  const std::uint64_t before = stage_calls("trace.critical_path");
+  const CriticalPath& first = critical_path_of(t);
+  EXPECT_EQ(stage_calls("trace.critical_path"), before + 1);
+  const CriticalPath& second = critical_path_of(t);
+  EXPECT_EQ(stage_calls("trace.critical_path"), before + 1);
+  EXPECT_EQ(&first, &second);
+  // A copy taken after the first call shares the path instead of walking
+  // the spans again.
+  const Trace copy = t;
+  EXPECT_EQ(&critical_path_of(copy), &first);
+  EXPECT_EQ(stage_calls("trace.critical_path"), before + 1);
+}
+
+// Localization and per-knob deadline propagation read the same traces every
+// round; each stored trace must be walked exactly once however many knobs
+// Sora manages and however many rounds run.
+TEST(CriticalPathOf, SoraWalksEachStoredTraceOnce) {
+  Simulator sim;
+  Tracer tracer;
+  TraceWarehouse warehouse(100000);
+  Application app(sim, tracer, testutil::chain_app(0.3), 1);
+  warehouse.attach(tracer);
+
+  SoraFrameworkOptions opts;
+  opts.sla = msec(50);
+  opts.control_period = sec(5);
+  ASSERT_TRUE(opts.deadline_propagation);
+  SoraFramework sora(app, warehouse, opts);
+  for (const char* name : {"front", "mid", "leaf"}) {
+    sora.manage(ResourceKnob::entry(app.service(name)));
+  }
+  const std::uint64_t before = stage_calls("trace.critical_path");
+  sora.start();
+
+  ClosedLoopGenerator users(sim, app, 20, msec(50), 4);
+  users.start();
+  sim.run_until(sec(20));
+  users.stop();
+
+  ASSERT_GE(sora.control_rounds(), 2u);
+  ASSERT_GT(warehouse.total_stored(), 0u);
+  EXPECT_EQ(stage_calls("trace.critical_path") - before,
+            warehouse.total_stored());
 }
 
 }  // namespace

@@ -18,6 +18,20 @@ TEST(LatencyRecorder, PercentilesExact) {
   EXPECT_NEAR(rec.mean_ms(), 50.5, 0.01);
 }
 
+// The mean is the served requests' exact running sum over their count, in
+// whole microseconds; shed requests stay out of it.
+TEST(LatencyRecorder, MeanIsExactOverServedRequests) {
+  Simulator sim;
+  LatencyRecorder rec(sim, msec(100));
+  EXPECT_DOUBLE_EQ(rec.mean_ms(), 0.0);
+  rec.record(100);
+  rec.record(300);
+  rec.record(msec(50), /*ok=*/false);
+  EXPECT_DOUBLE_EQ(rec.mean_ms(), 0.2);
+  rec.record(201);
+  EXPECT_DOUBLE_EQ(rec.mean_ms(), 0.2);  // 601 / 3 us truncates to 200 us
+}
+
 TEST(LatencyRecorder, EmptyIsZero) {
   Simulator sim;
   LatencyRecorder rec(sim, msec(100));
