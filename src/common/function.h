@@ -20,8 +20,10 @@ namespace sora {
 /// nothrow move construction live inline; larger ones are heap-allocated.
 class UniqueFunction {
  public:
-  /// Sized for the request-path continuations (the largest captures
-  /// this + visit + a handful of ids — see ServiceInstance::issue_call).
+  /// Sized for the request-path continuations. The largest, in
+  /// ServiceInstance::issue_call, fill it exactly: this, visit, the child
+  /// span's id and 32-bit slot, gate, target and two indices (a static_assert
+  /// there guards it; a whole SpanRef would not fit).
   static constexpr std::size_t kInlineSize = 64;
 
   UniqueFunction() = default;

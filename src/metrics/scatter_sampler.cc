@@ -7,11 +7,13 @@ ScatterSampler::ScatterSampler(Simulator& sim, Tracer& tracer,
                                SimTime rt_threshold, std::size_t max_points)
     : sim_(sim),
       knob_(knob),
-      completion_service_(knob.completion_service()),
       interval_(interval),
       rt_threshold_(rt_threshold),
       max_points_(max_points) {
-  tracer.add_span_listener([this](const Span& s) { on_span(s); });
+  // Only the completion service's spans count; a knob without one (say, an
+  // edge whose target does not exist) registers nothing and samples zero.
+  tracer.add_span_listener(knob_.completion_service(),
+                           [this](const Span& s) { on_span(s); });
 }
 
 ScatterSampler::~ScatterSampler() { stop(); }
@@ -32,7 +34,7 @@ void ScatterSampler::stop() {
 }
 
 void ScatterSampler::on_span(const Span& span) {
-  if (!running_ || span.service != completion_service_) return;
+  if (!running_) return;
   // Aborted visits (crash drops) are error responses, not completions:
   // they must not inflate goodput with their artificially short durations.
   if (span.failed) return;

@@ -77,7 +77,6 @@ class ScatterSampler {
 
   Simulator& sim_;
   ResourceKnob knob_;
-  ServiceId completion_service_;
   SimTime interval_;
   SimTime rt_threshold_;
   std::size_t max_points_;

@@ -24,8 +24,7 @@ int effective_pool_size(int configured) {
 /// Pooled: recycled through visit_free_ rather than heap-allocated per
 /// request, so capturing a raw Visit* is safe until finish() releases it.
 struct ServiceInstance::Visit {
-  TraceId trace;
-  SpanId span;
+  SpanRef span;
   int request_class = 0;
   Priority priority = Priority::kHigh;
   SimTime deadline = 0;  ///< absolute; propagated to downstream calls
@@ -99,14 +98,13 @@ const SoftResourcePool* ServiceInstance::edge_pool(int edge_index) const {
   return const_cast<ServiceInstance*>(this)->edge_pool(edge_index);
 }
 
-void ServiceInstance::serve(TraceId trace, SpanId span, const RequestMeta& meta,
+void ServiceInstance::serve(SpanRef span, const RequestMeta& meta,
                             Done done) {
   ++outstanding_;
   Tracer& tracer = svc_.app().tracer();
-  tracer.span(trace, span).instance = id_;
+  tracer.span(span).instance = id_;
 
   Visit* v = alloc_visit();
-  v->trace = trace;
   v->span = span;
   v->request_class = meta.request_class;
   v->priority = meta.priority;
@@ -132,7 +130,7 @@ void ServiceInstance::on_admitted(Visit* v) {
   }
   Simulator& sim = svc_.app().sim();
   Tracer& tracer = svc_.app().tracer();
-  tracer.span(v->trace, v->span).admitted = sim.now();
+  tracer.span(v->span).admitted = sim.now();
 
   const SimTime demand =
       static_cast<SimTime>(v->behavior->request_sampler.sample(rng_));
@@ -170,36 +168,40 @@ void ServiceInstance::issue_call(Visit* v, std::size_t group_index,
   assert(target != nullptr);
 
   const SimTime issued = app.sim().now();
-  const SpanId child = tracer.start_span(v->trace, v->span, target->id(),
-                                         InstanceId{}, v->request_class,
-                                         issued);
-  Span& parent = tracer.span(v->trace, v->span);
+  const SpanRef child = tracer.start_span(v->span.trace, v->span.id,
+                                          target->id(), InstanceId{},
+                                          v->request_class, issued);
+  Span& parent = tracer.span(v->span);
   parent.children.push_back(
-      ChildCall{child, static_cast<int>(group_index), issued, 0});
-  const std::size_t child_slot = parent.children.size() - 1;
+      ChildCall{child.id, static_cast<int>(group_index), issued, 0});
+  const std::size_t call_slot = parent.children.size() - 1;
 
   SoftResourcePool* gate = edge_pool(call.edge_index);
 
   // Dispatch once the connection gate admits us; when the response returns,
   // release the connection, stamp the return time, and advance the group
-  // after all peer calls have finished.
-  auto launch = [this, v, child, gate, target, group_index, child_slot] {
+  // after all peer calls have finished. The child's handle travels as its
+  // id and slot (its trace is v's): a whole SpanRef would push these
+  // captures past UniqueFunction's inline buffer.
+  auto launch = [this, v, child_id = child.id, child_slot = child.slot, gate,
+                 target, group_index, call_slot] {
     Application& app2 = svc_.app();
     // Request hop: caller's shard -> target's shard.
     app2.deliver(svc_, target->shard(),
-                 [this, v, child, gate, target, group_index, child_slot] {
+                 [this, v, child_id, child_slot, gate, target, group_index,
+                  call_slot] {
       target->dispatch(
-          v->trace, child,
+          SpanRef{v->span.trace, child_id, child_slot},
           RequestMeta{v->request_class, v->priority, v->deadline},
-          [this, v, gate, target, group_index, child_slot] {
+          [this, v, gate, target, group_index, call_slot] {
             Application& app3 = svc_.app();
             // Response hop: runs on the target's shard, back to the caller.
             app3.deliver(*target, svc_.shard(),
-                         [this, v, gate, group_index, child_slot] {
+                         [this, v, gate, group_index, call_slot] {
               if (gate != nullptr) gate->release();
               Tracer& t = svc_.app().tracer();
-              Span& p = t.span(v->trace, v->span);
-              p.children[child_slot].returned = svc_.app().sim().now();
+              Span& p = t.span(v->span);
+              p.children[call_slot].returned = svc_.app().sim().now();
               if (--v->pending_calls == 0) {
                 p.downstream_wait += svc_.app().sim().now() - v->blocked_since;
                 run_group(v, group_index + 1);
@@ -208,6 +210,9 @@ void ServiceInstance::issue_call(Visit* v, std::size_t group_index,
           });
     });
   };
+
+  static_assert(sizeof(launch) <= UniqueFunction::kInlineSize,
+                "request-path captures must stay in the inline buffer");
 
   if (gate != nullptr) {
     gate->acquire(launch);
@@ -228,18 +233,17 @@ void ServiceInstance::issue_async_callbacks(Visit* v) {
   const SimTime now = app.sim().now();
   for (const CompiledAsyncCall& cb : v->behavior->async_callbacks) {
     Service* target = cb.target;
-    const SpanId child = tracer.start_span(v->trace, v->span, target->id(),
-                                           InstanceId{}, cb.request_class, now);
-    Span& parent = tracer.span(v->trace, v->span);
+    const SpanRef child =
+        tracer.start_span(v->span.trace, v->span.id, target->id(),
+                          InstanceId{}, cb.request_class, now);
+    Span& parent = tracer.span(v->span);
     parent.children.push_back(
-        ChildCall{child, /*parallel_group=*/-1, now, 0, /*async=*/true});
+        ChildCall{child.id, /*parallel_group=*/-1, now, 0, /*async=*/true});
     // No deadline: the user's response already departed, so there is
     // nothing left for the callback to be late for.
     app.deliver(svc_, target->shard(),
-                [target, trace = v->trace, child, cls = cb.request_class,
-                 prio = cb.priority] {
-                  target->dispatch(trace, child, RequestMeta{cls, prio, 0},
-                                   [] {});
+                [target, child, cls = cb.request_class, prio = cb.priority] {
+                  target->dispatch(child, RequestMeta{cls, prio, 0}, [] {});
                 });
   }
 }
@@ -247,7 +251,7 @@ void ServiceInstance::issue_async_callbacks(Visit* v) {
 void ServiceInstance::finish(Visit* v) {
   Application& app = svc_.app();
   if (!v->behavior->async_callbacks.empty()) issue_async_callbacks(v);
-  app.tracer().finish_span(v->trace, v->span, app.sim().now());
+  app.tracer().finish_span(v->span, app.sim().now());
   svc_.note_completion();
   svc_.note_request_departure(app.sim().now() - v->arrived, true);
   entry_pool_.release();
@@ -261,8 +265,8 @@ void ServiceInstance::finish(Visit* v) {
 
 void ServiceInstance::abort_visit(Visit* v) {
   Application& app = svc_.app();
-  app.tracer().span(v->trace, v->span).failed = true;
-  app.tracer().finish_span(v->trace, v->span, app.sim().now());
+  app.tracer().span(v->span).failed = true;
+  app.tracer().finish_span(v->span, app.sim().now());
   svc_.note_request_departure(app.sim().now() - v->arrived, false);
   entry_pool_.release();
   --outstanding_;

@@ -22,6 +22,7 @@
 #include "common/time.h"
 #include "svc/cpu.h"
 #include "svc/soft_resource.h"
+#include "trace/span.h"
 
 namespace sora {
 
@@ -41,7 +42,7 @@ class ServiceInstance {
   /// caller (arrival stamped). `done` runs after the span is finished.
   /// `meta` carries the class plus the admission metadata (priority,
   /// deadline) propagated to downstream calls.
-  void serve(TraceId trace, SpanId span, const RequestMeta& meta, Done done);
+  void serve(SpanRef span, const RequestMeta& meta, Done done);
 
   InstanceId id() const { return id_; }
   bool active() const { return active_; }

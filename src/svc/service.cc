@@ -103,7 +103,7 @@ ServiceInstance& Service::pick_replica(Priority priority) {
   return *instances_[pick_index_[pick]];
 }
 
-void Service::dispatch(TraceId trace, SpanId span, const RequestMeta& meta,
+void Service::dispatch(SpanRef span, const RequestMeta& meta,
                        UniqueFunction done, bool pre_admitted) {
   if (admission_ != nullptr && !pre_admitted) {
     const SimTime now = app_.sim().now();
@@ -112,16 +112,16 @@ void Service::dispatch(TraceId trace, SpanId span, const RequestMeta& meta,
       // Shed a mid-chain call: close the caller-opened span as a rejected
       // error response. The caller sees an (instant) error return.
       Tracer& tracer = app_.tracer();
-      Span& s = tracer.span(trace, span);
+      Span& s = tracer.span(span);
       s.failed = true;
       s.rejected = true;
-      tracer.finish_span(trace, span, now);
+      tracer.finish_span(span, now);
       done();
       return;
     }
     admission_->on_admit(now);
   }
-  pick_replica(meta.priority).serve(trace, span, meta, std::move(done));
+  pick_replica(meta.priority).serve(span, meta, std::move(done));
 }
 
 void Service::note_request_departure(SimTime rtt, bool ok) {

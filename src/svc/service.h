@@ -79,8 +79,8 @@ class Service {
   /// rejected error response (failed + rejected) and invokes `done`.
   /// `pre_admitted` is set by Application::inject for root requests it
   /// already admitted at the front door.
-  void dispatch(TraceId trace, SpanId span, const RequestMeta& meta,
-                UniqueFunction done, bool pre_admitted = false);
+  void dispatch(SpanRef span, const RequestMeta& meta, UniqueFunction done,
+                bool pre_admitted = false);
 
   // -- admission control -------------------------------------------------------
 

@@ -84,6 +84,17 @@ struct Span {
   SimTime processing_time() const { return duration() - downstream_wait; }
 };
 
+/// Handle to a span of an open trace, returned by Tracer::start_span.
+/// `slot` is the span's index in its trace's span deque, so the tracer
+/// reaches the span without searching for it; `id` is the span's globally
+/// unique id, checked against the span found at `slot`. A handle is valid
+/// until its trace assembles (appending spans does not move earlier ones).
+struct SpanRef {
+  TraceId trace;
+  SpanId id;
+  std::uint32_t slot = 0;
+};
+
 /// A completed request trace: the root span plus all descendants.
 /// Spans are stored in creation order; spans[0] is the root. (In sharded
 /// runs the tracer rewrites completed traces into canonical DFS order with

@@ -18,9 +18,9 @@ TraceId Tracer::begin_trace(int request_class, SimTime now) {
   return id;
 }
 
-SpanId Tracer::start_span(TraceId trace, SpanId parent, ServiceId service,
-                          InstanceId instance, int request_class,
-                          SimTime arrival) {
+SpanRef Tracer::start_span(TraceId trace, SpanId parent, ServiceId service,
+                           InstanceId instance, int request_class,
+                           SimTime arrival) {
   MaybeLock lock(mu_, thread_safe_);
   auto it = open_.find(trace.value());
   assert(it != open_.end() && "start_span on unknown trace");
@@ -37,25 +37,48 @@ SpanId Tracer::start_span(TraceId trace, SpanId parent, ServiceId service,
   s.arrival = arrival;
   s.admitted = arrival;
   s.departure = arrival;
+  const auto slot = static_cast<std::uint32_t>(open.trace.spans.size());
   open.trace.spans.push_back(std::move(s));
   ++open.open_spans;
-  return id;
+  return SpanRef{trace, id, slot};
 }
 
-Span& Tracer::find_span(OpenTrace& open, SpanId id) {
-  auto& spans = open.trace.spans;
-  for (std::size_t i = spans.size(); i-- > 0;) {
-    if (spans[i].id == id) return spans[i];
-  }
-  assert(false && "span lookup on unknown span");
-  return spans.front();
+Tracer::OpenTrace& Tracer::open_trace(SpanRef ref) {
+  auto it = open_.find(ref.trace.value());
+  assert(it != open_.end() && "span lookup on unknown trace");
+  assert(ref.slot < it->second.trace.spans.size() &&
+         it->second.trace.spans[ref.slot].id == ref.id &&
+         "SpanRef does not match the span at its slot");
+  return it->second;
 }
 
-Span& Tracer::span(TraceId trace, SpanId id) {
+Span& Tracer::span(SpanRef ref) {
   MaybeLock lock(mu_, thread_safe_);
-  auto it = open_.find(trace.value());
-  assert(it != open_.end() && "span() on unknown trace");
-  return find_span(it->second, id);
+  return open_trace(ref).trace.spans[ref.slot];
+}
+
+void Tracer::add_span_listener(ServiceId service, SpanListener cb) {
+  if (!service.valid()) return;
+  const auto index = static_cast<std::size_t>(service.value());
+  if (index >= service_span_listeners_.size()) {
+    service_span_listeners_.resize(index + 1);
+  }
+  service_span_listeners_[index].push_back(std::move(cb));
+}
+
+void Tracer::deliver_span(const Span& s) {
+  for (const auto& listener : span_listeners_) listener(s);
+  if (s.service.value() < service_span_listeners_.size()) {
+    for (const auto& listener : service_span_listeners_[s.service.value()]) {
+      listener(s);
+    }
+  }
+}
+
+void Tracer::report_span(const Span& s) {
+  const SpanFate fate =
+      span_interceptor_ ? span_interceptor_(s) : SpanFate::kDeliver;
+  if (fate == SpanFate::kDeliver) deliver_span(s);
 }
 
 void Tracer::canonicalize(Trace& t) {
@@ -131,13 +154,11 @@ void Tracer::canonicalize(Trace& t) {
   t.spans = std::move(out);
 }
 
-void Tracer::finish_span(TraceId trace, SpanId id, SimTime departure) {
+void Tracer::finish_span(SpanRef ref, SimTime departure) {
   MaybeLock lock(mu_, thread_safe_);
-  auto it = open_.find(trace.value());
-  assert(it != open_.end() && "finish_span on unknown trace");
-  OpenTrace& open = it->second;
+  OpenTrace& open = open_trace(ref);
 
-  Span& s = find_span(open, id);
+  Span& s = open.trace.spans[ref.slot];
   s.departure = departure;
   assert(open.open_spans > 0);
   --open.open_spans;
@@ -158,11 +179,7 @@ void Tracer::finish_span(TraceId trace, SpanId id, SimTime departure) {
     if (is_root) {
       for (const auto& listener : root_listeners_) listener(open.trace);
     }
-    const SpanFate fate =
-        span_interceptor_ ? span_interceptor_(s) : SpanFate::kDeliver;
-    if (fate == SpanFate::kDeliver) {
-      for (const auto& listener : span_listeners_) listener(s);
-    }
+    report_span(s);
     return;
   }
 
@@ -170,31 +187,20 @@ void Tracer::finish_span(TraceId trace, SpanId id, SimTime departure) {
   // listeners so that re-entrant tracer use from a listener cannot
   // invalidate it.
   Trace done = std::move(open.trace);
-  open_.erase(it);
+  open_.erase(ref.trace.value());
   ++traces_completed_;
   lock.unlock();
 
-  // `s` moved with the trace; relocate the closing span for its report.
-  Span* closing = nullptr;
-  for (Span& sp : done.spans) {
-    if (sp.id == id) {
-      closing = &sp;
-      break;
-    }
-  }
-  assert(closing != nullptr);
+  // The closing span moved with the trace and kept its slot.
+  const Span& closing = done.spans[ref.slot];
   if (is_root) {
     for (const auto& listener : root_listeners_) listener(done);
   }
-  const SpanFate fate =
-      span_interceptor_ ? span_interceptor_(*closing) : SpanFate::kDeliver;
-  if (fate == SpanFate::kDeliver) {
-    for (const auto& listener : span_listeners_) listener(*closing);
-  }
+  report_span(closing);
   if (!is_root && deferred_delivery_) {
     // The trace outlived its root (async callbacks): hand it off so the
     // harness can route assembly back to the entry lane.
-    const ServiceId last_service = closing->service;
+    const ServiceId last_service = closing.service;
     deferred_delivery_(std::move(done), last_service);
     return;
   }

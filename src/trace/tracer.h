@@ -32,7 +32,8 @@ namespace sora {
 class Tracer {
  public:
   using TraceListener = std::function<void(const Trace&)>;
-  /// Span listeners fire on every span completion (service visit), which is
+  /// Span listeners fire on span completion (service visit): global ones for
+  /// every span, per-service ones only for spans of their service — which is
   /// what the scatter samplers consume.
   using SpanListener = std::function<void(const Span&)>;
   /// Root listeners fire the instant the ROOT span closes — the user-visible
@@ -67,22 +68,23 @@ class Tracer {
   TraceId begin_trace(int request_class, SimTime now);
 
   /// Open a span under `trace`. `parent` is invalid for the root span.
-  /// `arrival` is when the request message reached the service.
-  SpanId start_span(TraceId trace, SpanId parent, ServiceId service,
-                    InstanceId instance, int request_class, SimTime arrival);
+  /// `arrival` is when the request message reached the service. The
+  /// returned handle addresses the span in O(1) until its trace assembles.
+  SpanRef start_span(TraceId trace, SpanId parent, ServiceId service,
+                     InstanceId instance, int request_class, SimTime arrival);
 
   /// Mutable access to an open span (to stamp admitted/downstream_wait and
   /// append child calls). Must not be called after the span is finished.
   /// The returned reference stays valid while the trace is open (spans live
   /// in a deque), but the lookup itself synchronizes in thread-safe mode.
-  Span& span(TraceId trace, SpanId id);
+  Span& span(SpanRef ref);
 
   /// Close a span. When the last open span of a trace closes (the root
   /// itself on async-free traces), the trace is assembled, listeners run,
   /// and the trace's storage is released. A root closing while async
   /// callback spans are still open only fires the root listeners; assembly
   /// waits for the stragglers.
-  void finish_span(TraceId trace, SpanId id, SimTime departure);
+  void finish_span(SpanRef ref, SimTime departure);
 
   void add_trace_listener(TraceListener cb) {
     trace_listeners_.push_back(std::move(cb));
@@ -106,18 +108,21 @@ class Tracer {
   void set_trace_finalizer(std::function<void(Trace&)> fn) {
     trace_finalizer_ = std::move(fn);
   }
+  /// Listen to every completed span.
   void add_span_listener(SpanListener cb) {
     span_listeners_.push_back(std::move(cb));
   }
+  /// Listen to the completed spans of `service` only; an invalid service
+  /// registers nothing (no span carries it).
+  void add_span_listener(ServiceId service, SpanListener cb);
   /// Install (or clear, with nullptr) the span-report gate.
   void set_span_interceptor(SpanInterceptor fn) {
     span_interceptor_ = std::move(fn);
   }
-  /// Deliver a span to the span listeners now — used to redeliver a copy
-  /// the interceptor deferred. Safe after the owning trace closed.
-  void deliver_span(const Span& s) {
-    for (const auto& listener : span_listeners_) listener(s);
-  }
+  /// Deliver a span to the global span listeners, then to its service's —
+  /// used to redeliver a copy the interceptor deferred. Safe after the
+  /// owning trace closed.
+  void deliver_span(const Span& s);
 
   /// Guard the open-trace table with a mutex (sharded runs with worker
   /// threads; harmless but unnecessary otherwise). Listener callbacks run
@@ -143,10 +148,14 @@ class Tracer {
     bool root_finished = false;
   };
 
-  /// Find a span inside an open trace by id. Traces hold a handful of
-  /// spans, so a backwards linear scan (most recently opened first) beats
-  /// a per-trace hash index.
-  static Span& find_span(OpenTrace& open, SpanId id);
+  /// The open trace `ref` points into. Spans themselves are addressed by
+  /// ref.slot: a trace of hundreds of spans is touched ~5 times per span,
+  /// so any search per lookup grows with the square of the trace size.
+  OpenTrace& open_trace(SpanRef ref);
+
+  /// Run the span interceptor on a closed span, then deliver it unless the
+  /// interceptor dropped or deferred it.
+  void report_span(const Span& s);
 
   /// Reorder `t.spans` into DFS call order and renumber ids 1..N.
   static void canonicalize(Trace& t);
@@ -179,6 +188,8 @@ class Tracer {
   DeferredDelivery deferred_delivery_;
   std::vector<TraceListener> trace_listeners_;
   std::vector<SpanListener> span_listeners_;
+  /// Per-service span listeners, indexed by ServiceId value.
+  std::vector<std::vector<SpanListener>> service_span_listeners_;
   std::vector<RootListener> root_listeners_;
   std::uint64_t traces_completed_ = 0;
   bool thread_safe_ = false;

@@ -89,9 +89,9 @@ TEST(BudgetAnnotation, RunsAsTracerFinalizer) {
   tracer.add_trace_listener([&](const Trace& t) { seen = t; });
 
   const TraceId tid = tracer.begin_trace(0, 0);
-  const SpanId root =
+  const SpanRef root =
       tracer.start_span(tid, SpanId{}, ServiceId(0), InstanceId(0), 0, 0);
-  tracer.finish_span(tid, root, 1000);
+  tracer.finish_span(root, 1000);
 
   ASSERT_EQ(seen.spans.size(), 1u);
   EXPECT_TRUE(seen.spans[0].budget_annotated());

@@ -78,9 +78,9 @@ TEST(TraceSampling, WarehouseStoresEveryNth) {
   wh.attach(tracer, 5);
   for (int i = 0; i < 50; ++i) {
     const TraceId tid = tracer.begin_trace(0, i);
-    const SpanId root =
+    const SpanRef root =
         tracer.start_span(tid, SpanId{}, ServiceId(0), InstanceId(0), 0, i);
-    tracer.finish_span(tid, root, i + 10);
+    tracer.finish_span(root, i + 10);
   }
   EXPECT_EQ(wh.size(), 10u);
 }

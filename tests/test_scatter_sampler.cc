@@ -93,6 +93,25 @@ TEST(ScatterSampler, EdgeKnobMeasuresTargetCompletions) {
   EXPECT_NEAR(total, 1000.0, 150.0);
 }
 
+TEST(ScatterSampler, EdgeKnobWithoutTargetServiceCountsNothing) {
+  // "ghost" has a connection pool on the caller but no service behind it:
+  // the knob has no completion service, so no span may reach the sampler.
+  ApplicationConfig cfg = testutil::edge_pool_app(2, 1000, 0.0);
+  cfg.services[0].with_edge_pool("ghost", 2, PoolKind::kDbConnections);
+  Fixture f(std::move(cfg));
+  ResourceKnob knob = ResourceKnob::edge(f.app.service("caller"), "ghost");
+  ASSERT_FALSE(knob.completion_service().valid());
+  ScatterSampler sampler(f.sim, f.tracer, knob, msec(100), msec(50));
+  sampler.start();
+  f.drive(100, sec(1));
+  f.sim.run_until(sec(1));
+  ASSERT_GE(sampler.size(), 9u);
+  for (const auto& p : sampler.points()) {
+    EXPECT_DOUBLE_EQ(p.throughput, 0.0);
+    EXPECT_DOUBLE_EQ(p.goodput, 0.0);
+  }
+}
+
 TEST(ScatterSampler, RingBufferBounded) {
   Fixture f(testutil::single_service());
   ResourceKnob knob = ResourceKnob::entry(f.app.service("svc"));
