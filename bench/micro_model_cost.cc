@@ -74,6 +74,7 @@ Trace make_deep_trace(int depth, std::uint64_t id) {
     s.id = SpanId(id * 100 + static_cast<std::uint64_t>(i));
     s.trace = t.id;
     s.parent = i == 0 ? SpanId{} : SpanId(id * 100 + static_cast<std::uint64_t>(i - 1));
+    s.parent_slot = i == 0 ? kNoSlot : static_cast<std::uint32_t>(i - 1);
     s.service = ServiceId(static_cast<std::uint64_t>(i));
     s.arrival = lo;
     s.admitted = lo;
@@ -81,7 +82,7 @@ Trace make_deep_trace(int depth, std::uint64_t id) {
     s.downstream_wait = i + 1 < depth ? hi - lo - 40 : 0;
     if (i > 0) {
       t.spans[static_cast<std::size_t>(i - 1)].children.push_back(
-          ChildCall{s.id, 0, lo, hi});
+          ChildCall{s.id, 0, lo, hi, false, static_cast<std::uint32_t>(i)});
     }
     t.spans.push_back(s);
     lo += 20;

@@ -1,7 +1,6 @@
 #include "obs/budget.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "obs/json.h"
 #include "trace/critical_path.h"
@@ -46,19 +45,14 @@ TraceBudget attribute_budget(const Trace& trace, SimTime sla) {
 
 void annotate_budget(Trace& trace, SimTime sla) {
   if (trace.spans.empty()) return;
-  // Spans are stored in creation order, so every parent precedes its
-  // children and one forward pass suffices.
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  index.reserve(trace.spans.size());
-  for (std::size_t i = 0; i < trace.spans.size(); ++i) {
-    index.emplace(trace.spans[i].id.value(), i);
-  }
+  // Spans are stored in creation (or canonical DFS) order, so every parent
+  // precedes its children and one forward pass suffices.
   for (Span& s : trace.spans) {
     SimTime deadline = sla;
     if (s.parent.valid()) {
-      const auto it = index.find(s.parent.value());
-      if (it != index.end()) {
-        const Span& parent = trace.spans[it->second];
+      const std::uint32_t slot = trace.find(s.parent, s.parent_slot);
+      if (slot != kNoSlot) {
+        const Span& parent = trace.spans[slot];
         deadline = parent.budget_deadline - parent.processing_time();
       }
     }

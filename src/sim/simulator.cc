@@ -355,8 +355,11 @@ void Simulator::run_shards(SimTime bound, bool inclusive) {
     job_bound_ = bound;
     job_inclusive_ = inclusive;
     lanes_remaining_ = shards_;
-    next_claim_.store(0, std::memory_order_relaxed);
     ++job_gen_;
+    // Publishes the job parameters (and the lanes' state from the last
+    // barrier) to a worker that claims through next_claim_ without taking
+    // pool_mu_: one still looping from the previous job, say.
+    next_claim_.store(0, std::memory_order_release);
   }
   pool_cv_.notify_all();
   run_claimed_lanes();
@@ -366,7 +369,7 @@ void Simulator::run_shards(SimTime bound, bool inclusive) {
 
 void Simulator::run_claimed_lanes() {
   for (;;) {
-    const std::uint32_t i = next_claim_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint32_t i = next_claim_.fetch_add(1, std::memory_order_acq_rel);
     if (i >= static_cast<std::uint32_t>(shards_)) break;
     tls_lane_ = static_cast<int>(i);
     run_lane(lane(shard_lane_index(static_cast<int>(i))), job_bound_,

@@ -365,6 +365,9 @@ class Simulator {
   bool job_inclusive_ = false;
   bool pool_stop_ = false;
   int lanes_remaining_ = 0;
+  /// Next lane index to claim. Reset by a release store after the job
+  /// parameters; claimed by acq_rel fetch_add, which is what orders a
+  /// worker's reads of job_bound_/job_inclusive_ after their writes.
   std::atomic<std::uint32_t> next_claim_{0};
 
   static thread_local int tls_lane_;

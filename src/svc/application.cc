@@ -124,7 +124,7 @@ void Application::inject(const RequestMeta& meta, Completion on_complete) {
 
   const TraceId trace = tracer_.begin_trace(request.request_class, start);
   const SpanRef root =
-      tracer_.start_span(trace, SpanId{}, entry.id(), InstanceId{},
+      tracer_.start_span(trace, SpanRef{}, entry.id(), InstanceId{},
                          request.request_class, start);
   entry.dispatch(
       root, request,

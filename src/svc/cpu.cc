@@ -45,7 +45,7 @@ void CpuScheduler::advance() {
   const SimTime now = sim_.now();
   const SimTime dt = now - last_advance_;
   if (dt <= 0) return;
-  const int n = static_cast<int>(jobs_.size());
+  const int n = active_jobs();
   if (n > 0) {
     v_ += static_cast<double>(dt) * rate(n);
     // Cores occupied: overhead keeps the CPU busy even when useful progress
@@ -58,13 +58,24 @@ void CpuScheduler::advance() {
 
 void CpuScheduler::reschedule() {
   completion_event_.cancel();
-  if (jobs_.empty()) return;
-  const double remaining_v = jobs_.begin()->first - v_;
-  const double r = rate(static_cast<int>(jobs_.size()));
+  if (heap_.empty()) return;
+  const double remaining_v = heap_.front().tag - v_;
+  const double r = rate(active_jobs());
   const double dt = std::max(remaining_v, 0.0) / r;
   const SimTime delay = std::max<SimTime>(
       0, static_cast<SimTime>(std::ceil(dt)));
   completion_event_ = sim_.schedule_after(delay, [this] { complete_front(); });
+}
+
+CpuScheduler::Completion CpuScheduler::pop_front() {
+  const std::uint32_t slot = heap_.front().slot;
+  std::pop_heap(heap_.begin(), heap_.end(), FinishesAfter{});
+  heap_.pop_back();
+  Job& job = slab_[slot];
+  Completion done = std::move(job.done);
+  job.next_free = free_head_;
+  free_head_ = slot;
+  return done;
 }
 
 void CpuScheduler::complete_front() {
@@ -74,20 +85,18 @@ void CpuScheduler::complete_front() {
   Completion first;
   std::vector<Completion> rest;
   std::uint64_t n = 0;
-  while (!jobs_.empty() && jobs_.begin()->first <= v_ + kTagEps) {
-    Completion done = std::move(jobs_.begin()->second.done);
-    jobs_.erase(jobs_.begin());
+  while (!heap_.empty() && heap_.front().tag <= v_ + kTagEps) {
+    Completion done = pop_front();
     if (n++ == 0) {
       first = std::move(done);
     } else {
       rest.push_back(std::move(done));
     }
   }
-  if (n == 0 && !jobs_.empty()) {
+  if (n == 0 && !heap_.empty()) {
     // Rounding scheduled us a hair early; the front job has sub-nanosecond
     // residual work. Complete it rather than spin.
-    first = std::move(jobs_.begin()->second.done);
-    jobs_.erase(jobs_.begin());
+    first = pop_front();
     n = 1;
   }
   jobs_completed_ += n;
@@ -103,7 +112,17 @@ void CpuScheduler::submit(SimTime demand, Completion done) {
     return;
   }
   advance();
-  jobs_.emplace(v_ + static_cast<double>(demand), Job{std::move(done)});
+  std::uint32_t slot = free_head_;
+  if (slot != kNilSlot) {
+    free_head_ = slab_[slot].next_free;
+  } else {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back();
+  }
+  slab_[slot].done = std::move(done);
+  heap_.push_back(
+      HeapEntry{v_ + static_cast<double>(demand), next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), FinishesAfter{});
   reschedule();
 }
 
@@ -117,7 +136,7 @@ void CpuScheduler::set_cores(double cores) {
 
 double CpuScheduler::busy_integral() const {
   double busy = busy_integral_;
-  const int n = static_cast<int>(jobs_.size());
+  const int n = active_jobs();
   if (n > 0) {
     busy += static_cast<double>(sim_.now() - last_advance_) *
             std::min(static_cast<double>(n), cores_);

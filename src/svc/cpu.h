@@ -17,11 +17,13 @@
 // everyone's latency (right side).
 //
 // Implementation uses the classic virtual-time formulation of PS so each
-// arrival/completion costs O(log n).
+// arrival/completion costs O(log n): active jobs sit in a binary min-heap of
+// small {finish tag, seq, slot} entries, their completions in a slab of
+// pooled slots with a free list (the Simulator's event-slab pattern), so a
+// scheduler with a steady job count allocates nothing per job.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/function.h"
@@ -46,7 +48,10 @@ class CpuScheduler {
 
   double cores() const { return cores_; }
   double overhead_beta() const { return beta_; }
-  int active_jobs() const { return static_cast<int>(jobs_.size()); }
+  int active_jobs() const { return static_cast<int>(heap_.size()); }
+  /// Completion slots ever allocated: the slab's high-water mark of
+  /// concurrent jobs (slots are reused, so a steady load stops growing it).
+  std::size_t job_slots() const { return slab_.size(); }
 
   // -- metrics ---------------------------------------------------------------
 
@@ -57,8 +62,29 @@ class CpuScheduler {
   std::uint64_t jobs_completed() const { return jobs_completed_; }
 
  private:
+  static constexpr std::uint32_t kNilSlot = UINT32_MAX;
+
+  /// One active job's pooled completion; `next_free` links free slots.
   struct Job {
     Completion done;
+    std::uint32_t next_free = kNilSlot;
+  };
+
+  /// Heap entry of one active job. `seq` (submission order) breaks ties
+  /// between equal finish tags first-in first-out.
+  struct HeapEntry {
+    double tag;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+
+  /// Heap comparator: true when `a` finishes after `b` (std::*_heap with
+  /// this ordering keeps the earliest (tag, seq) job on top).
+  struct FinishesAfter {
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+      if (a.tag != b.tag) return a.tag > b.tag;
+      return a.seq > b.seq;
+    }
   };
 
   /// Per-job progress rate with n active jobs. Memoized per n (invalidated
@@ -72,15 +98,21 @@ class CpuScheduler {
   /// (Re)schedule the completion event for the earliest-finishing job.
   void reschedule();
   void complete_front();
+  /// Remove the front job from the heap, free its slot and return its
+  /// completion.
+  Completion pop_front();
 
   Simulator& sim_;
   double cores_;
   double beta_;
 
   // Virtual time: every active job has received v_ service; a job with
-  // finish tag f completes when v_ reaches f. Multimap orders by finish tag.
+  // finish tag f completes when v_ reaches f. The heap orders by finish tag.
   double v_ = 0.0;
-  std::multimap<double, Job> jobs_;
+  std::vector<HeapEntry> heap_;
+  std::vector<Job> slab_;
+  std::uint32_t free_head_ = kNilSlot;
+  std::uint64_t next_seq_ = 0;
   SimTime last_advance_ = 0;
   EventHandle completion_event_;
 

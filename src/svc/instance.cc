@@ -168,12 +168,15 @@ void ServiceInstance::issue_call(Visit* v, std::size_t group_index,
   assert(target != nullptr);
 
   const SimTime issued = app.sim().now();
-  const SpanRef child = tracer.start_span(v->span.trace, v->span.id,
+  const SpanRef child = tracer.start_span(v->span.trace, v->span,
                                           target->id(), InstanceId{},
                                           v->request_class, issued);
   Span& parent = tracer.span(v->span);
-  parent.children.push_back(
-      ChildCall{child.id, static_cast<int>(group_index), issued, 0});
+  parent.children.push_back(ChildCall{.child = child.id,
+                                      .parallel_group =
+                                          static_cast<int>(group_index),
+                                      .issued = issued,
+                                      .slot = child.slot});
   const std::size_t call_slot = parent.children.size() - 1;
 
   SoftResourcePool* gate = edge_pool(call.edge_index);
@@ -234,11 +237,14 @@ void ServiceInstance::issue_async_callbacks(Visit* v) {
   for (const CompiledAsyncCall& cb : v->behavior->async_callbacks) {
     Service* target = cb.target;
     const SpanRef child =
-        tracer.start_span(v->span.trace, v->span.id, target->id(),
+        tracer.start_span(v->span.trace, v->span, target->id(),
                           InstanceId{}, cb.request_class, now);
     Span& parent = tracer.span(v->span);
-    parent.children.push_back(
-        ChildCall{child.id, /*parallel_group=*/-1, now, 0, /*async=*/true});
+    parent.children.push_back(ChildCall{.child = child.id,
+                                        .parallel_group = -1,
+                                        .issued = now,
+                                        .async = true,
+                                        .slot = child.slot});
     // No deadline: the user's response already departed, so there is
     // nothing left for the callback to be late for.
     app.deliver(svc_, target->shard(),

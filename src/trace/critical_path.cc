@@ -1,30 +1,15 @@
 #include "trace/critical_path.h"
 
 #include <memory>
-#include <unordered_map>
 
 #include "obs/profiler.h"
 
 namespace sora {
 
-namespace {
-
-using SpanIndex = std::unordered_map<std::uint64_t, const Span*>;
-
-SpanIndex index_spans(const Trace& trace) {
-  SpanIndex idx;
-  idx.reserve(trace.spans.size());
-  for (const Span& s : trace.spans) idx.emplace(s.id.value(), &s);
-  return idx;
-}
-
-}  // namespace
-
 CriticalPath extract_critical_path(const Trace& trace) {
   CriticalPath path;
   if (trace.spans.empty()) return path;
 
-  const SpanIndex idx = index_spans(trace);
   const Span* current = &trace.root();
   path.total_duration = current->duration();
 
@@ -40,12 +25,13 @@ CriticalPath extract_critical_path(const Trace& trace) {
     SimTime best = -1;
     for (const ChildCall& call : current->children) {
       if (call.async) continue;
-      auto it = idx.find(call.child.value());
-      if (it == idx.end()) continue;  // child span missing (defensive)
-      const SimTime d = it->second->duration();
+      const std::uint32_t slot = trace.find(call.child, call.slot);
+      if (slot == kNoSlot) continue;  // child span missing (defensive)
+      const Span& child = trace.spans[slot];
+      const SimTime d = child.duration();
       if (d > best) {
         best = d;
-        next = it->second;
+        next = &child;
       }
     }
     current = next;

@@ -7,6 +7,7 @@
 // processing time PT_si (Section 3.2, Eq. 1-3) and the critical path.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -19,6 +20,9 @@ namespace sora {
 
 struct CriticalPath;  // trace/critical_path.h
 
+/// Slot value of a span link that was never set.
+inline constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
 /// One downstream call issued by a span. `parallel_group` identifies calls
 /// issued concurrently (same group fires together); groups execute in
 /// ascending order. Async callback edges (fire-and-forget notifications
@@ -26,15 +30,23 @@ struct CriticalPath;  // trace/critical_path.h
 /// cross-service cycles) carry `async = true` and `parallel_group = -1`:
 /// the caller never waits on them, so they contribute nothing to its
 /// downstream_wait and are skipped by critical-path extraction.
+///
+/// `slot` is the child span's index in its trace's spans, copied from the
+/// SpanRef the tracer returned when it opened the child; readers reach the
+/// child through Trace::find(child, slot) without indexing the trace. It
+/// sits in the padding after `async`, so the struct stays 40 bytes.
 struct ChildCall {
   SpanId child;
   int parallel_group = 0;
   SimTime issued = 0;    ///< When the caller initiated the call.
   SimTime returned = 0;  ///< When the response came back (0 for async).
   bool async = false;    ///< Fire-and-forget callback; caller never waits.
+  std::uint32_t slot = kNoSlot;  ///< The child's index in Trace::spans.
 };
+static_assert(sizeof(ChildCall) == 40, "ChildCall::slot must fit the padding");
 
-/// One service visit.
+/// One service visit. Spans link to their parent and children by id and by
+/// slot (index in Trace::spans); Trace::find checks one against the other.
 struct Span {
   SpanId id;
   TraceId trace;
@@ -42,6 +54,9 @@ struct Span {
   ServiceId service;
   InstanceId instance;
   int request_class = 0;
+  /// The parent's index in Trace::spans, set by Tracer::start_span (unused
+  /// on the root). Fills the padding after `request_class`.
+  std::uint32_t parent_slot = kNoSlot;
 
   SimTime arrival = 0;    ///< Request message reached the service (or its
                           ///< connection gate).
@@ -117,6 +132,15 @@ struct Trace {
 
   SimTime response_time() const { return end - start; }
   const Span& root() const { return spans.front(); }
+
+  /// Resolve a span link: `slot` when the span there has id `id`, otherwise
+  /// kNoSlot — the linked span is missing (a dropped span report in a
+  /// hand-built trace). A link whose slot was never set is a bug in whoever
+  /// built the trace; debug builds assert on it.
+  std::uint32_t find(SpanId id, std::uint32_t slot) const {
+    assert(slot != kNoSlot && "span link without a slot");
+    return slot < spans.size() && spans[slot].id == id ? slot : kNoSlot;
+  }
 
   /// True when any hop of this request was shed by admission control (the
   /// end-user saw a rejection, not a served response).

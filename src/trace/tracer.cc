@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 #include <vector>
 
 namespace sora {
@@ -18,19 +17,22 @@ TraceId Tracer::begin_trace(int request_class, SimTime now) {
   return id;
 }
 
-SpanRef Tracer::start_span(TraceId trace, SpanId parent, ServiceId service,
+SpanRef Tracer::start_span(TraceId trace, SpanRef parent, ServiceId service,
                            InstanceId instance, int request_class,
                            SimTime arrival) {
   MaybeLock lock(mu_, thread_safe_);
   auto it = open_.find(trace.value());
   assert(it != open_.end() && "start_span on unknown trace");
   OpenTrace& open = it->second;
+  assert((!parent.id.valid() || parent.trace == trace) &&
+         "parent span belongs to another trace");
 
   const SpanId id = span_ids_.next();
   Span s;
   s.id = id;
   s.trace = trace;
-  s.parent = parent;
+  s.parent = parent.id;
+  s.parent_slot = parent.slot;
   s.service = service;
   s.instance = instance;
   s.request_class = request_class;
@@ -86,43 +88,43 @@ void Tracer::canonicalize(Trace& t) {
   // order — both depend on how shard lanes interleaved. The call tree does
   // not: parents record their ChildCalls in issue order. Rewrite the trace
   // into that intrinsic form: spans in depth-first call order, ids = 1-based
-  // DFS position.
+  // DFS position, slots = DFS position.
   if (t.spans.empty()) return;
   const std::size_t n = t.spans.size();
-  std::unordered_map<std::uint64_t, std::size_t> by_id;
-  by_id.reserve(n * 2);
-  for (std::size_t i = 0; i < n; ++i) by_id.emplace(t.spans[i].id.value(), i);
 
-  std::vector<std::size_t> order;
+  std::vector<std::uint32_t> order;
   order.reserve(n);
-  std::vector<bool> placed(n, false);
-  // Iterative DFS; the explicit stack holds (span index, next child).
-  std::vector<std::pair<std::size_t, std::size_t>> stack;
+  // pos[old slot] = new slot; kNoSlot until the span is placed.
+  std::vector<std::uint32_t> pos(n, kNoSlot);
+  const auto place = [&](std::uint32_t slot) {
+    pos[slot] = static_cast<std::uint32_t>(order.size());
+    order.push_back(slot);
+  };
+  // Iterative DFS; the explicit stack holds (span slot, next child).
+  std::vector<std::pair<std::uint32_t, std::size_t>> stack;
   stack.emplace_back(0, 0);
-  order.push_back(0);
-  placed[0] = true;
+  place(0);
   while (!stack.empty()) {
-    auto& [idx, child] = stack.back();
-    const Span& s = t.spans[idx];
+    auto& [slot, child] = stack.back();
+    const Span& s = t.spans[slot];
     if (child >= s.children.size()) {
       stack.pop_back();
       continue;
     }
-    const std::uint64_t child_id = s.children[child++].child.value();
-    auto it = by_id.find(child_id);
-    if (it == by_id.end() || placed[it->second]) continue;
-    placed[it->second] = true;
-    order.push_back(it->second);
-    stack.emplace_back(it->second, 0);
+    const ChildCall& call = s.children[child++];
+    const std::uint32_t next = t.find(call.child, call.slot);
+    if (next == kNoSlot || pos[next] != kNoSlot) continue;
+    place(next);
+    stack.emplace_back(next, 0);
   }
   // Defensive: spans unreachable from the root (should not happen — every
   // start_span is paired with a ChildCall) are appended in a stable order
   // that does not depend on creation order.
-  std::vector<std::size_t> stray;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!placed[i]) stray.push_back(i);
+  std::vector<std::uint32_t> stray;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (pos[i] == kNoSlot) stray.push_back(i);
   }
-  std::sort(stray.begin(), stray.end(), [&t](std::size_t a, std::size_t b) {
+  std::sort(stray.begin(), stray.end(), [&t](std::uint32_t a, std::uint32_t b) {
     const Span& sa = t.spans[a];
     const Span& sb = t.spans[b];
     if (sa.arrival != sb.arrival) return sa.arrival < sb.arrival;
@@ -131,25 +133,30 @@ void Tracer::canonicalize(Trace& t) {
     }
     return sa.departure < sb.departure;
   });
-  order.insert(order.end(), stray.begin(), stray.end());
+  for (const std::uint32_t slot : stray) place(slot);
 
-  std::vector<std::uint64_t> new_id(n, 0);
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    new_id[order[pos]] = pos + 1;
-  }
-  std::deque<Span> out;
-  for (const std::size_t idx : order) {
-    Span s = std::move(t.spans[idx]);
-    s.id = SpanId(new_id[idx]);
+  // Rewrite the links first, while every span still carries its raw id for
+  // Trace::find to check; then renumber and reorder.
+  for (Span& s : t.spans) {
     if (s.parent.valid()) {
-      auto it = by_id.find(s.parent.value());
-      s.parent = it != by_id.end() ? SpanId(new_id[it->second]) : SpanId{};
+      const std::uint32_t parent = t.find(s.parent, s.parent_slot);
+      s.parent = parent != kNoSlot ? SpanId(pos[parent] + 1) : SpanId{};
+      s.parent_slot = parent != kNoSlot ? pos[parent] : kNoSlot;
     }
     for (ChildCall& c : s.children) {
-      auto it = by_id.find(c.child.value());
-      if (it != by_id.end()) c.child = SpanId(new_id[it->second]);
+      const std::uint32_t child = t.find(c.child, c.slot);
+      if (child == kNoSlot) {
+        c.slot = static_cast<std::uint32_t>(n);  // stays missing
+        continue;
+      }
+      c.child = SpanId(pos[child] + 1);
+      c.slot = pos[child];
     }
-    out.push_back(std::move(s));
+  }
+  std::deque<Span> out;
+  for (const std::uint32_t slot : order) {
+    out.push_back(std::move(t.spans[slot]));
+    out.back().id = SpanId(pos[slot] + 1);
   }
   t.spans = std::move(out);
 }

@@ -67,10 +67,12 @@ class Tracer {
   /// Start a new trace for a request of the given class. Returns its id.
   TraceId begin_trace(int request_class, SimTime now);
 
-  /// Open a span under `trace`. `parent` is invalid for the root span.
-  /// `arrival` is when the request message reached the service. The
-  /// returned handle addresses the span in O(1) until its trace assembles.
-  SpanRef start_span(TraceId trace, SpanId parent, ServiceId service,
+  /// Open a span under `trace`, as a child of the open span `parent` (a
+  /// default SpanRef for the root span): the span records the parent's id
+  /// and slot. `arrival` is when the request message reached the service.
+  /// The returned handle addresses the span in O(1) until its trace
+  /// assembles; its slot is what the parent's ChildCall records.
+  SpanRef start_span(TraceId trace, SpanRef parent, ServiceId service,
                      InstanceId instance, int request_class, SimTime arrival);
 
   /// Mutable access to an open span (to stamp admitted/downstream_wait and
@@ -157,7 +159,8 @@ class Tracer {
   /// interceptor dropped or deferred it.
   void report_span(const Span& s);
 
-  /// Reorder `t.spans` into DFS call order and renumber ids 1..N.
+  /// Reorder `t.spans` into DFS call order, renumber ids 1..N and rewrite
+  /// every span link's slot to the new order.
   static void canonicalize(Trace& t);
 
   class MaybeLock {

@@ -1,7 +1,6 @@
 #include "trace/warehouse.h"
 
 #include <memory>
-#include <unordered_map>
 
 namespace sora {
 
@@ -74,17 +73,14 @@ void CallGraphStore::attach(Tracer& tracer) {
 }
 
 void CallGraphStore::ingest(const Trace& trace) {
-  std::unordered_map<std::uint64_t, const Span*> idx;
-  idx.reserve(trace.spans.size());
-  for (const Span& s : trace.spans) idx.emplace(s.id.value(), &s);
   for (const Span& s : trace.spans) {
     if (!s.parent.valid()) {
       ++roots_[s.service.value()];
       continue;
     }
-    auto it = idx.find(s.parent.value());
-    if (it != idx.end()) {
-      ++edges_[key(it->second->service, s.service)];
+    const std::uint32_t slot = trace.find(s.parent, s.parent_slot);
+    if (slot != kNoSlot) {
+      ++edges_[key(trace.spans[slot].service, s.service)];
     }
   }
 }

@@ -79,6 +79,22 @@ TEST(BudgetAnnotation, StampsEverySpan) {
   EXPECT_EQ(t.spans[2].budget_slack, 180 - 80);
 }
 
+// The parent's deadline is read through the parent slot; one that
+// addresses a span with another id leaves the hop with the whole SLA, as
+// for a parent missing from the trace.
+TEST(BudgetAnnotation, StaleParentSlotGetsTheWholeSla) {
+  Trace t = testutil::make_trace({
+      {-1, 0, 0, 100, 80},
+      {0, 1, 10, 40, 0, 0},
+      {0, 2, 10, 90, 0, 0},
+  });
+  t.spans[2].parent_slot = 1;
+  obs::annotate_budget(t, /*sla=*/200);
+  EXPECT_EQ(t.spans[1].budget_deadline, 180);
+  EXPECT_EQ(t.spans[2].budget_deadline, 200);
+  EXPECT_EQ(t.spans[2].budget_slack, 200 - 80);
+}
+
 TEST(BudgetAnnotation, RunsAsTracerFinalizer) {
   // The finalizer hook annotates the assembled trace before listeners see
   // it, so the warehouse (a listener) stores annotated spans.
@@ -90,7 +106,7 @@ TEST(BudgetAnnotation, RunsAsTracerFinalizer) {
 
   const TraceId tid = tracer.begin_trace(0, 0);
   const SpanRef root =
-      tracer.start_span(tid, SpanId{}, ServiceId(0), InstanceId(0), 0, 0);
+      tracer.start_span(tid, SpanRef{}, ServiceId(0), InstanceId(0), 0, 0);
   tracer.finish_span(root, 1000);
 
   ASSERT_EQ(seen.spans.size(), 1u);

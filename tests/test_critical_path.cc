@@ -161,6 +161,41 @@ TEST(CriticalPath, GapTruncatesPathNotWholeTrace) {
   EXPECT_FALSE(cp.contains(ServiceId(3)));
 }
 
+// A call's slot that addresses a span with another id (the trace was
+// edited after the slot was stamped) or lies past the end of the trace
+// means the child is missing: the walk stops rather than descend into the
+// wrong span.
+TEST(CriticalPath, StaleSlotIsTreatedAsMissingChild) {
+  Trace t = testutil::make_trace({
+      {-1, 0, 0, 100, 80},
+      {0, 1, 10, 90, 60},
+      {1, 2, 20, 80, 0},
+  });
+  t.spans[0].children[0].slot = 2;  // the grandchild's slot
+  CriticalPath cp = extract_critical_path(t);
+  ASSERT_EQ(cp.hops.size(), 1u);
+  EXPECT_EQ(cp.hops[0].service, ServiceId(0));
+
+  t.spans[0].children[0].slot = 3;  // one past the end
+  cp = extract_critical_path(t);
+  ASSERT_EQ(cp.hops.size(), 1u);
+  EXPECT_EQ(cp.total_duration, 100);
+}
+
+// A call whose slot was never set is a bug in whoever built the trace:
+// debug builds stop on it; with the assert compiled out the child counts
+// as missing, like any other unresolvable link.
+TEST(CriticalPath, UnsetSlotAssertsInDebugAndIsMissingOtherwise) {
+  Trace t = testutil::make_trace({{-1, 0, 0, 100, 80}, {0, 1, 10, 90, 0}});
+  t.spans[0].children[0].slot = kNoSlot;
+  CriticalPath cp;
+  EXPECT_DEBUG_DEATH(cp = extract_critical_path(t), "span link without a slot");
+#ifdef NDEBUG
+  ASSERT_EQ(cp.hops.size(), 1u);
+  EXPECT_EQ(cp.hops[0].service, ServiceId(0));
+#endif
+}
+
 // Property: PT of all hops never exceeds the total duration, and the hop
 // list follows parent-child order.
 TEST(CriticalPath, ProcessingTimeBoundedByDuration) {

@@ -79,7 +79,7 @@ TEST(TraceSampling, WarehouseStoresEveryNth) {
   for (int i = 0; i < 50; ++i) {
     const TraceId tid = tracer.begin_trace(0, i);
     const SpanRef root =
-        tracer.start_span(tid, SpanId{}, ServiceId(0), InstanceId(0), 0, i);
+        tracer.start_span(tid, SpanRef{}, ServiceId(0), InstanceId(0), 0, i);
     tracer.finish_span(root, i + 10);
   }
   EXPECT_EQ(wh.size(), 10u);

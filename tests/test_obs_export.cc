@@ -87,12 +87,14 @@ Trace make_trace(std::uint64_t id, SimTime start) {
   root.departure = t.end;
   root.downstream_wait = msec(8);
   root.children.push_back(
-      ChildCall{SpanId(id * 10 + 1), 0, start + msec(1), start + msec(9)});
+      ChildCall{SpanId(id * 10 + 1), 0, start + msec(1), start + msec(9),
+                false, /*slot=*/1});
 
   Span child;
   child.id = SpanId(id * 10 + 1);
   child.trace = t.id;
   child.parent = root.id;
+  child.parent_slot = 0;
   child.service = ServiceId(2);
   child.instance = InstanceId(22);
   child.arrival = start + msec(1);

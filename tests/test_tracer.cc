@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "harness/experiment.h"
+
 namespace sora {
 namespace {
 
@@ -17,7 +19,7 @@ TEST(Tracer, SingleSpanTrace) {
 
   const TraceId tid = tracer.begin_trace(3, 100);
   const SpanRef root =
-      tracer.start_span(tid, SpanId{}, ServiceId(1), InstanceId(7), 3, 100);
+      tracer.start_span(tid, SpanRef{}, ServiceId(1), InstanceId(7), 3, 100);
   EXPECT_EQ(root.trace, tid);
   EXPECT_EQ(root.slot, 0u);
   EXPECT_EQ(tracer.open_traces(), 1u);
@@ -45,11 +47,12 @@ TEST(Tracer, NestedSpans) {
 
   const TraceId tid = tracer.begin_trace(0, 0);
   const SpanRef root =
-      tracer.start_span(tid, SpanId{}, ServiceId(0), InstanceId(0), 0, 0);
+      tracer.start_span(tid, SpanRef{}, ServiceId(0), InstanceId(0), 0, 0);
   const SpanRef child =
-      tracer.start_span(tid, root.id, ServiceId(1), InstanceId(1), 0, 10);
+      tracer.start_span(tid, root, ServiceId(1), InstanceId(1), 0, 10);
   EXPECT_EQ(child.slot, 1u);
-  tracer.span(root).children.push_back(ChildCall{child.id, 0, 10, 0});
+  tracer.span(root).children.push_back(
+      ChildCall{child.id, 0, 10, 0, false, child.slot});
   tracer.finish_span(child, 60);
   tracer.span(root).children[0].returned = 60;
   tracer.span(root).downstream_wait = 50;
@@ -61,6 +64,8 @@ TEST(Tracer, NestedSpans) {
   EXPECT_EQ(t.spans[0].processing_time(), 50);  // 100 - 50 downstream
   EXPECT_EQ(t.spans[1].duration(), 50);
   EXPECT_EQ(t.spans[1].parent, root.id);
+  EXPECT_EQ(t.spans[1].parent_slot, root.slot);
+  EXPECT_EQ(t.spans[0].children[0].slot, child.slot);
 }
 
 TEST(Tracer, SpanListenerFiresPerSpan) {
@@ -71,9 +76,9 @@ TEST(Tracer, SpanListenerFiresPerSpan) {
 
   const TraceId tid = tracer.begin_trace(0, 0);
   const SpanRef root =
-      tracer.start_span(tid, SpanId{}, ServiceId(10), InstanceId(0), 0, 0);
+      tracer.start_span(tid, SpanRef{}, ServiceId(10), InstanceId(0), 0, 0);
   const SpanRef child =
-      tracer.start_span(tid, root.id, ServiceId(20), InstanceId(0), 0, 5);
+      tracer.start_span(tid, root, ServiceId(20), InstanceId(0), 0, 5);
   tracer.finish_span(child, 50);
   tracer.finish_span(root, 90);
 
@@ -91,9 +96,9 @@ TEST(Tracer, ConcurrentTraces) {
   const TraceId a = tracer.begin_trace(0, 0);
   const TraceId b = tracer.begin_trace(1, 10);
   const SpanRef ra =
-      tracer.start_span(a, SpanId{}, ServiceId(0), InstanceId(0), 0, 0);
+      tracer.start_span(a, SpanRef{}, ServiceId(0), InstanceId(0), 0, 0);
   const SpanRef rb =
-      tracer.start_span(b, SpanId{}, ServiceId(0), InstanceId(0), 1, 10);
+      tracer.start_span(b, SpanRef{}, ServiceId(0), InstanceId(0), 1, 10);
   EXPECT_EQ(tracer.open_traces(), 2u);
   tracer.finish_span(rb, 20);
   EXPECT_EQ(completed, 1);
@@ -107,9 +112,9 @@ TEST(Tracer, SpanIdsAreUniqueAcrossTraces) {
   const TraceId a = tracer.begin_trace(0, 0);
   const TraceId b = tracer.begin_trace(0, 0);
   const SpanRef s1 =
-      tracer.start_span(a, SpanId{}, ServiceId(0), InstanceId(0), 0, 0);
+      tracer.start_span(a, SpanRef{}, ServiceId(0), InstanceId(0), 0, 0);
   const SpanRef s2 =
-      tracer.start_span(b, SpanId{}, ServiceId(0), InstanceId(0), 0, 0);
+      tracer.start_span(b, SpanRef{}, ServiceId(0), InstanceId(0), 0, 0);
   EXPECT_NE(s1.id, s2.id);
   // Slots are per trace: both roots sit at slot 0.
   EXPECT_EQ(s1.slot, 0u);
@@ -144,9 +149,9 @@ TEST(SpanRef, LargeInterleavedTracesAddressTheIntendedSpans) {
   std::vector<SpanRef> a_refs;
   std::vector<SpanRef> b_refs;
   a_refs.push_back(
-      tracer.start_span(a, SpanId{}, ServiceId(0), InstanceId{}, 0, 0));
+      tracer.start_span(a, SpanRef{}, ServiceId(0), InstanceId{}, 0, 0));
   b_refs.push_back(
-      tracer.start_span(b, SpanId{}, ServiceId(10000), InstanceId{}, 1, 0));
+      tracer.start_span(b, SpanRef{}, ServiceId(10000), InstanceId{}, 1, 0));
   const Span* a_root_addr = &tracer.span(a_refs[0]);
 
   std::vector<int> parent_of{-1};  // trace a, by creation index
@@ -154,27 +159,28 @@ TEST(SpanRef, LargeInterleavedTracesAddressTheIntendedSpans) {
     for (int c = 0; c < kCalls; ++c) {
       const auto child_index = static_cast<int>(a_refs.size());
       const SpanRef child = tracer.start_span(
-          a, a_refs[0].id, ServiceId(static_cast<std::uint64_t>(child_index)),
+          a, a_refs[0], ServiceId(static_cast<std::uint64_t>(child_index)),
           InstanceId{}, 0, child_index);
-      tracer.span(a_refs[0]).children.push_back(ChildCall{child.id, g, 0, 0});
+      tracer.span(a_refs[0]).children.push_back(
+          ChildCall{child.id, g, 0, 0, false, child.slot});
       a_refs.push_back(child);
       parent_of.push_back(0);
 
       const SpanRef grandchild = tracer.start_span(
-          a, child.id, ServiceId(static_cast<std::uint64_t>(child_index + 1)),
+          a, child, ServiceId(static_cast<std::uint64_t>(child_index + 1)),
           InstanceId{}, 0, child_index + 1);
       tracer.span(child).children.push_back(
-          ChildCall{grandchild.id, 0, 0, 0});
+          ChildCall{grandchild.id, 0, 0, 0, false, grandchild.slot});
       a_refs.push_back(grandchild);
       parent_of.push_back(child_index);
 
       // Trace b grows a chain in lockstep.
       const SpanRef b_next = tracer.start_span(
-          b, b_refs.back().id,
+          b, b_refs.back(),
           ServiceId(10000 + static_cast<std::uint64_t>(b_refs.size())),
           InstanceId{}, 1, 0);
       tracer.span(b_refs.back()).children.push_back(
-          ChildCall{b_next.id, 0, 0, 0});
+          ChildCall{b_next.id, 0, 0, 0, false, b_next.slot});
       b_refs.push_back(b_next);
     }
   }
@@ -260,11 +266,11 @@ TEST(SpanRef, ClosingSpanReportedIsTheOneThatClosed) {
 
   const TraceId tid = tracer.begin_trace(0, 0);
   const SpanRef root =
-      tracer.start_span(tid, SpanId{}, ServiceId(1), InstanceId{}, 0, 0);
+      tracer.start_span(tid, SpanRef{}, ServiceId(1), InstanceId{}, 0, 0);
   const SpanRef c1 =
-      tracer.start_span(tid, root.id, ServiceId(2), InstanceId{}, 0, 1);
+      tracer.start_span(tid, root, ServiceId(2), InstanceId{}, 0, 1);
   const SpanRef c2 =
-      tracer.start_span(tid, root.id, ServiceId(3), InstanceId{}, 0, 2);
+      tracer.start_span(tid, root, ServiceId(3), InstanceId{}, 0, 2);
   tracer.finish_span(c2, 20);
   tracer.finish_span(c1, 30);
   tracer.finish_span(root, 40);
@@ -301,17 +307,18 @@ TEST(SpanRef, AsyncCallbackTraceAssemblesSameTree) {
 
   const TraceId tid = tracer.begin_trace(0, 0);
   const SpanRef root =
-      tracer.start_span(tid, SpanId{}, ServiceId(1), InstanceId{}, 0, 0);
+      tracer.start_span(tid, SpanRef{}, ServiceId(1), InstanceId{}, 0, 0);
   const SpanRef sync =
-      tracer.start_span(tid, root.id, ServiceId(2), InstanceId{}, 0, 5);
-  tracer.span(root).children.push_back(ChildCall{sync.id, 0, 5, 0});
+      tracer.start_span(tid, root, ServiceId(2), InstanceId{}, 0, 5);
+  tracer.span(root).children.push_back(
+      ChildCall{sync.id, 0, 5, 0, false, sync.slot});
   tracer.finish_span(sync, 15);
   tracer.span(root).children[0].returned = 15;
   tracer.span(root).downstream_wait = 10;
   const SpanRef async =
-      tracer.start_span(tid, root.id, ServiceId(3), InstanceId{}, 0, 20);
+      tracer.start_span(tid, root, ServiceId(3), InstanceId{}, 0, 20);
   tracer.span(root).children.push_back(
-      ChildCall{async.id, -1, 20, 0, /*async=*/true});
+      ChildCall{async.id, -1, 20, 0, /*async=*/true, async.slot});
   tracer.finish_span(root, 20);
 
   EXPECT_EQ(roots, 1);
@@ -358,16 +365,19 @@ TEST(SpanRef, CanonicalIdsAssembleSameTree) {
   // Creation order: root, c1, c2, g (child of c1, opened after c2).
   const TraceId tid = tracer.begin_trace(0, 0);
   const SpanRef root =
-      tracer.start_span(tid, SpanId{}, ServiceId(1), InstanceId{}, 0, 0);
+      tracer.start_span(tid, SpanRef{}, ServiceId(1), InstanceId{}, 0, 0);
   const SpanRef c1 =
-      tracer.start_span(tid, root.id, ServiceId(2), InstanceId{}, 0, 1);
+      tracer.start_span(tid, root, ServiceId(2), InstanceId{}, 0, 1);
   const SpanRef c2 =
-      tracer.start_span(tid, root.id, ServiceId(3), InstanceId{}, 0, 2);
-  tracer.span(root).children.push_back(ChildCall{c1.id, 0, 1, 0});
-  tracer.span(root).children.push_back(ChildCall{c2.id, 0, 2, 0});
+      tracer.start_span(tid, root, ServiceId(3), InstanceId{}, 0, 2);
+  tracer.span(root).children.push_back(
+      ChildCall{c1.id, 0, 1, 0, false, c1.slot});
+  tracer.span(root).children.push_back(
+      ChildCall{c2.id, 0, 2, 0, false, c2.slot});
   const SpanRef g =
-      tracer.start_span(tid, c1.id, ServiceId(4), InstanceId{}, 0, 3);
-  tracer.span(c1).children.push_back(ChildCall{g.id, 0, 3, 0});
+      tracer.start_span(tid, c1, ServiceId(4), InstanceId{}, 0, 3);
+  tracer.span(c1).children.push_back(
+      ChildCall{g.id, 0, 3, 0, false, g.slot});
   EXPECT_EQ(tracer.span(g).service, ServiceId(4));
   tracer.finish_span(g, 10);
   tracer.finish_span(c2, 11);
@@ -392,6 +402,131 @@ TEST(SpanRef, CanonicalIdsAssembleSameTree) {
   ASSERT_EQ(t.spans[1].children.size(), 1u);
   EXPECT_EQ(t.spans[1].children[0].child, SpanId(3));
   EXPECT_EQ(t.spans[2].departure, 10);
+  // Slots follow the new order: g moved from creation slot 3 to DFS slot 2.
+  EXPECT_EQ(t.spans[0].children[0].slot, 1u);
+  EXPECT_EQ(t.spans[0].children[1].slot, 3u);
+  EXPECT_EQ(t.spans[1].children[0].slot, 2u);
+  EXPECT_EQ(t.spans[1].parent_slot, 0u);
+  EXPECT_EQ(t.spans[2].parent_slot, 1u);
+  EXPECT_EQ(t.spans[3].parent_slot, 0u);
+}
+
+// -- slot-linked span tree ----------------------------------------------------
+
+/// What check_slot_links saw, so a test can insist its traces had the
+/// shapes it meant to cover.
+struct LinkCoverage {
+  std::size_t traces = 0;
+  std::size_t links = 0;
+  std::size_t async_links = 0;
+  std::size_t parallel_links = 0;  ///< calls sharing a group with a sibling
+  std::size_t canonical = 0;       ///< traces with span ids 1..N
+};
+
+/// Every span link of `t` resolves by slot to the span it names, and the
+/// two directions agree: span i's parent lists i among its calls, and each
+/// call's child names its caller as parent.
+void check_slot_links(const Trace& t, LinkCoverage& cov) {
+  ++cov.traces;
+  const std::size_t n = t.spans.size();
+  ASSERT_GT(n, 0u);
+  EXPECT_FALSE(t.spans[0].parent.valid());
+  bool canonical = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Span& s = t.spans[i];
+    canonical = canonical && s.id == SpanId(i + 1);
+    if (i > 0) {
+      ASSERT_LT(s.parent_slot, n) << "trace " << t.id.value() << " span " << i;
+      const Span& parent = t.spans[s.parent_slot];
+      EXPECT_EQ(parent.id, s.parent);
+      std::size_t listed = 0;
+      for (const ChildCall& c : parent.children) {
+        if (c.slot == i) ++listed;
+      }
+      EXPECT_EQ(listed, 1u) << "span " << i << " in its parent's calls";
+    }
+    for (const ChildCall& c : s.children) {
+      ++cov.links;
+      ASSERT_LT(c.slot, n) << "trace " << t.id.value() << " span " << i;
+      EXPECT_EQ(t.spans[c.slot].id, c.child);
+      EXPECT_EQ(t.spans[c.slot].parent, s.id);
+      EXPECT_EQ(t.spans[c.slot].parent_slot, i);
+      if (c.async) ++cov.async_links;
+      std::size_t group_size = 0;
+      for (const ChildCall& o : s.children) {
+        if (!c.async && o.parallel_group == c.parallel_group) ++group_size;
+      }
+      if (group_size > 1) ++cov.parallel_links;
+    }
+  }
+  if (canonical) ++cov.canonical;
+}
+
+/// front calls {a, b} in parallel, then c; a calls e, so e opens after b
+/// and creation order is not DFS order; c calls a, then notifies d
+/// asynchronously as it completes (d outlives the response, so assembly is
+/// deferred).
+ApplicationConfig linked_app() {
+  ApplicationConfig app;
+  ServiceConfig front;
+  front.name = "front";
+  front.with_cores(4).with_entry_pool(64).with_demand(0, 200, 100, 0.3);
+  front.with_parallel_calls(0, {"a", "b"}).with_call(0, "c");
+  app.services.push_back(front);
+  for (const char* name : {"a", "b", "c", "e"}) {
+    ServiceConfig s;
+    s.name = name;
+    s.with_cores(2).with_entry_pool(32).with_demand(0, 500, 0, 0.5);
+    app.services.push_back(s);
+  }
+  app.services[1].with_call(0, "e");
+  app.services[3].with_call(0, "a").with_async_callback(0, "d", 1);
+  ServiceConfig d;
+  d.name = "d";
+  d.with_cores(2).with_entry_pool(32).with_demand(1, 3000, 0, 0.5);
+  app.services.push_back(d);
+  app.entry_service[0] = "front";
+  return app;
+}
+
+LinkCoverage run_linked_app(int shards) {
+  ExperimentConfig cfg;
+  cfg.duration = sec(5);
+  cfg.sla = msec(100);
+  cfg.seed = 3;
+  ApplicationConfig app = linked_app();
+  if (shards > 0) app.network_latency = usec(300);
+  Experiment exp(app, cfg);
+  if (shards > 0) exp.set_shards(shards);
+  LinkCoverage cov;
+  exp.tracer().add_trace_listener(
+      [&cov](const Trace& t) { check_slot_links(t, cov); });
+  exp.closed_loop(8, msec(20));
+  exp.run();
+  return cov;
+}
+
+// Live traces straight from the service substrate: parallel groups,
+// sequential and nested calls, and an async callback that outlives the
+// response. Every link the tracer stamped must address the right span.
+TEST(SlotLinks, LiveTracesAddressTheirSpans) {
+  const LinkCoverage cov = run_linked_app(/*shards=*/0);
+  EXPECT_GT(cov.traces, 100u);
+  // front->{a, b}, a->e, front->c, c->a, a->e, c->d (async).
+  EXPECT_EQ(cov.links, cov.traces * 7);
+  EXPECT_EQ(cov.async_links, cov.traces);
+  EXPECT_EQ(cov.parallel_links, cov.traces * 2);
+}
+
+// Sharded runs canonicalize every trace (DFS order, ids 1..N), which moves
+// e ahead of b; the slots must move with the spans they point at.
+TEST(SlotLinks, CanonicalizedShardedTracesAddressTheirSpans) {
+  const LinkCoverage cov = run_linked_app(/*shards=*/2);
+  EXPECT_GT(cov.traces, 100u);
+  EXPECT_EQ(cov.canonical, cov.traces);
+  EXPECT_EQ(cov.links, cov.traces * 7);
+  EXPECT_EQ(cov.async_links, cov.traces);
+  EXPECT_EQ(cov.parallel_links, cov.traces * 2);
 }
 
 // -- per-service span listeners ----------------------------------------------
@@ -400,7 +535,7 @@ TEST(SpanRef, CanonicalIdsAssembleSameTree) {
 void close_one_span(Tracer& tracer, std::uint64_t service, SimTime at = 10) {
   const TraceId tid = tracer.begin_trace(0, 0);
   const SpanRef root =
-      tracer.start_span(tid, SpanId{}, ServiceId(service), InstanceId{}, 0, 0);
+      tracer.start_span(tid, SpanRef{}, ServiceId(service), InstanceId{}, 0, 0);
   tracer.finish_span(root, at);
 }
 

@@ -136,6 +136,9 @@ inline Trace make_trace(const std::vector<SyntheticSpan>& spans,
                    ? SpanId(trace_id * 1000 +
                             static_cast<std::uint64_t>(ss.parent_index))
                    : SpanId{};
+    s.parent_slot = ss.parent_index >= 0
+                        ? static_cast<std::uint32_t>(ss.parent_index)
+                        : kNoSlot;
     s.service = ServiceId(ss.service);
     s.instance = InstanceId(0);
     s.arrival = ss.arrival;
@@ -151,7 +154,8 @@ inline Trace make_trace(const std::vector<SyntheticSpan>& spans,
     parent.children.push_back(ChildCall{t.spans[i].id,
                                         spans[i].parallel_group,
                                         spans[i].arrival,
-                                        spans[i].departure});
+                                        spans[i].departure, false,
+                                        static_cast<std::uint32_t>(i)});
   }
   return t;
 }

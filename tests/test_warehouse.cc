@@ -57,7 +57,7 @@ TEST(TraceWarehouse, AttachToTracer) {
   wh.attach(tracer);
   const TraceId tid = tracer.begin_trace(0, 0);
   const SpanRef root =
-      tracer.start_span(tid, SpanId{}, ServiceId(0), InstanceId(0), 0, 0);
+      tracer.start_span(tid, SpanRef{}, ServiceId(0), InstanceId(0), 0, 0);
   tracer.finish_span(root, 50);
   EXPECT_EQ(wh.size(), 1u);
 }
@@ -78,6 +78,25 @@ TEST(CallGraphStore, CountsEdgesAndRoots) {
   EXPECT_EQ(store.edge_count(ServiceId(0), ServiceId(3)), 2u);
   EXPECT_EQ(store.edge_count(ServiceId(2), ServiceId(0)), 0u);
   EXPECT_EQ(store.num_edges(), 3u);
+}
+
+// Edges are read through each span's parent slot; a slot that addresses a
+// span with another id (here: span 2's parent slot moved onto span 3)
+// drops that one edge instead of crediting the wrong caller.
+TEST(CallGraphStore, StaleParentSlotDropsTheEdge) {
+  CallGraphStore store;
+  Trace t = testutil::make_trace({
+      {-1, 0, 0, 100, 80},
+      {0, 1, 10, 90, 60},
+      {1, 2, 20, 80, 0},
+      {0, 3, 10, 30, 0},
+  });
+  t.spans[2].parent_slot = 3;
+  store.ingest(t);
+  EXPECT_EQ(store.edge_count(ServiceId(0), ServiceId(1)), 1u);
+  EXPECT_EQ(store.edge_count(ServiceId(1), ServiceId(2)), 0u);
+  EXPECT_EQ(store.edge_count(ServiceId(3), ServiceId(2)), 0u);
+  EXPECT_EQ(store.num_edges(), 2u);
 }
 
 }  // namespace
