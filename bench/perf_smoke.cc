@@ -3,9 +3,10 @@
 // Times the canonical 1-minute Sock Shop cart simulation (the building
 // block of every figure/table sweep) and reports engine throughput
 // (events/sec, wall-ms per sim-second), then measures the sweep-level
-// serial-vs-parallel speedup. Results are APPENDED to BENCH_sim.json — a
-// JSON array of runs keyed by git SHA and date — so the repo accumulates a
-// perf trajectory across PRs instead of only remembering the last run.
+// serial-vs-parallel speedup. Ungated runs APPEND their results to
+// BENCH_sim.json — a JSON array of runs keyed by git SHA and date — so the
+// repo accumulates a perf trajectory across PRs instead of only
+// remembering the last run.
 //
 // A third probe repeats the engine run with the ctl introspection server
 // attached and a 10 Hz /statusz poller hammering it, substantiating the
@@ -14,17 +15,16 @@
 // Every timed probe runs SORA_PERF_SMOKE_REPS times (default 3, floor 3)
 // and reports the median rep: single-shot wall timings on a shared CI box
 // regularly produced nonsense overhead numbers (the instrumented run
-// "faster" than the baseline by double digits). A fourth probe times the
-// same scenario under the sharded engine (shards=4, 500 us network
-// latency) and records sharded_events_per_sec next to a serial run of the
-// identical scenario, so the trajectory tracks the window machinery's cost.
+// "faster" than the baseline by double digits).
 //
 // Usage: perf_smoke [--gate] [output.json]   (default: BENCH_sim.json)
 //
 // With --gate, the freshly measured engine events/sec is compared against
 // the best engine_events_per_sec already committed in the trajectory file;
 // a regression beyond SORA_PERF_GATE_PCT percent (default 10) exits 2 — the
-// CI perf gate.
+// CI perf gate. A gated run only reads the file: appending its own entry
+// would make the next local rerun gate against this run instead of the
+// committed trajectory.
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -81,12 +81,8 @@ int probe_reps() {
 /// 4-core cart with a fixed 12-thread pool (mid-sweep operating point).
 /// SORA_PERF_SMOKE_MINUTES lengthens the probe (profiling runs). With
 /// `digest`, the causal profiler's per-event digest is folded in — the only
-/// hot-path cost causal profiling adds to an instrumented run. With
-/// `shards` > 0 the scenario gains a nonzero network latency (sharding
-/// needs cross-service edges with wire time) and runs on the windowed
-/// engine; shards == 0 pins the serial engine even under SORA_SIM_SHARDS.
-EngineResult run_engine_probe(bool digest = false, int shards = 0,
-                              SimTime net_latency = 0) {
+/// hot-path cost causal profiling adds to an instrumented run.
+EngineResult run_engine_probe(bool digest = false) {
   sock_shop::Params params;
   params.cart_cores = 4.0;
   params.cart_threads = 12;
@@ -98,10 +94,7 @@ EngineResult run_engine_probe(bool digest = false, int shards = 0,
   ecfg.duration = minutes(probe_minutes);
   ecfg.sla = msec(250);
   ecfg.seed = 42;
-  ApplicationConfig app = sock_shop::make_sock_shop(params);
-  if (net_latency > 0) app.network_latency = net_latency;
-  Experiment exp(std::move(app), ecfg);
-  exp.set_shards(shards);  // after ctor: wins over the env override
+  Experiment exp(sock_shop::make_sock_shop(params), ecfg);
   exp.closed_loop(600, sec(1), RequestMix(sock_shop::kBrowse));
   if (digest) exp.sim().set_digest_enabled(true);
 
@@ -119,13 +112,10 @@ EngineResult run_engine_probe(bool digest = false, int shards = 0,
 }
 
 /// Median-by-events/sec over `reps` identical engine probes.
-EngineResult median_engine_probe(int reps, bool digest = false,
-                                 int shards = 0, SimTime net_latency = 0) {
+EngineResult median_engine_probe(int reps, bool digest = false) {
   std::vector<EngineResult> runs;
   runs.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
-    runs.push_back(run_engine_probe(digest, shards, net_latency));
-  }
+  for (int i = 0; i < reps; ++i) runs.push_back(run_engine_probe(digest));
   std::sort(runs.begin(), runs.end(),
             [](const EngineResult& a, const EngineResult& b) {
               return a.events_per_sec < b.events_per_sec;
@@ -260,36 +250,6 @@ CausalProbeResult run_causal_probe(int reps, double baseline_events_per_sec) {
   return r;
 }
 
-struct ShardedProbeResult {
-  bool ran = false;
-  int shards = 0;
-  double events_per_sec = 0.0;         ///< windowed engine, shards lanes
-  double serial_events_per_sec = 0.0;  ///< same scenario, serial engine
-  double overhead_pct = 0.0;  ///< windowed vs serial on this scenario
-};
-
-/// The engine scenario with a 500 us wire latency, serial vs shards=4. On a
-/// single-core host this measures pure window-machinery overhead; with real
-/// cores and SORA_SIM_THREADS it becomes a speedup. Either way the
-/// trajectory keeps the sharded engine's throughput honest.
-ShardedProbeResult run_sharded_probe(int reps) {
-  constexpr SimTime kWire = 500;  // us; also the conservative lookahead
-  ShardedProbeResult r;
-  r.shards = 4;
-  const EngineResult serial =
-      median_engine_probe(reps, /*digest=*/false, /*shards=*/0, kWire);
-  const EngineResult sharded =
-      median_engine_probe(reps, /*digest=*/false, r.shards, kWire);
-  r.serial_events_per_sec = serial.events_per_sec;
-  r.events_per_sec = sharded.events_per_sec;
-  if (serial.events_per_sec > 0 && sharded.events_per_sec > 0) {
-    r.ran = true;
-    r.overhead_pct =
-        (1.0 - sharded.events_per_sec / serial.events_per_sec) * 100.0;
-  }
-  return r;
-}
-
 struct TopoSynthProbeResult {
   int services = 0;
   double wall_sec = 0.0;
@@ -410,9 +370,38 @@ void append_trajectory(const std::string& path, const std::string& entry) {
   os << entry << "\n]\n";
 }
 
-/// Trajectory schema check: every committed entry must carry the keys the
-/// perf gate and trajectory tooling key on. Returns "" when the file is
-/// absent/empty or every entry validates; otherwise the first problem.
+/// Schema check of one trajectory entry: it must carry the keys the perf
+/// gate and trajectory tooling key on. Returns "" when it validates;
+/// otherwise the problem.
+std::string validate_entry(const ctl::JsonValue& entry) {
+  static const char* const kRequired[] = {"bench", "git_sha", "date",
+                                          "engine_events_per_sec"};
+  // An instrumented run that is >50% slower — or any amount "faster" —
+  // than its own baseline is a measurement artifact, not a result; such
+  // entries poison the trajectory and must not be committed.
+  static const char* const kOverheadKeys[] = {"ctl_overhead_pct",
+                                              "causal_digest_overhead_pct"};
+  for (const char* key : kRequired) {
+    if (!entry.has(key)) return std::string("missing \"") + key + "\"";
+  }
+  if (!(entry["engine_events_per_sec"].as_number() > 0)) {
+    return "engine_events_per_sec not positive";
+  }
+  for (const char* key : kOverheadKeys) {
+    if (entry.has(key) && std::abs(entry[key].as_number()) > 50.0) {
+      return std::string("|") + key + "| > 50% — suspect measurement";
+    }
+  }
+  if (entry.has("topo_synth_services_per_sec") &&
+      !(entry["topo_synth_services_per_sec"].as_number() > 0)) {
+    return "topo_synth_services_per_sec not positive";
+  }
+  return "";
+}
+
+/// Trajectory schema check: every committed entry must pass
+/// validate_entry. Returns "" when the file is absent/empty or every entry
+/// validates; otherwise the first problem.
 std::string validate_trajectory(const std::string& path) {
   std::ifstream in(path);
   if (!in) return "";
@@ -423,44 +412,11 @@ std::string validate_trajectory(const std::string& path) {
   ctl::JsonValue doc;
   if (!ctl::parse_json(text, &doc)) return "unparsable JSON";
   if (doc.kind() != ctl::JsonValue::Kind::kArray) return "not a JSON array";
-  static const char* const kRequired[] = {"bench", "git_sha", "date",
-                                          "engine_events_per_sec"};
-  // An instrumented run that is >50% slower — or any amount "faster" —
-  // than its own baseline is a measurement artifact, not a result; such
-  // entries poison the trajectory and must not be committed.
-  static const char* const kOverheadKeys[] = {"ctl_overhead_pct",
-                                              "causal_digest_overhead_pct"};
   std::size_t i = 0;
   for (const auto& entry : doc.as_array()) {
-    for (const char* key : kRequired) {
-      if (!entry.has(key)) {
-        return "entry " + std::to_string(i) + " missing \"" + key + "\"";
-      }
-    }
-    if (!(entry["engine_events_per_sec"].as_number() > 0)) {
-      return "entry " + std::to_string(i) +
-             ": engine_events_per_sec not positive";
-    }
-    for (const char* key : kOverheadKeys) {
-      if (entry.has(key) && std::abs(entry[key].as_number()) > 50.0) {
-        return "entry " + std::to_string(i) + ": |" + key +
-               "| > 50% — suspect measurement";
-      }
-    }
-    if (entry.has("topo_synth_services_per_sec") &&
-        !(entry["topo_synth_services_per_sec"].as_number() > 0)) {
-      return "entry " + std::to_string(i) +
-             ": topo_synth_services_per_sec not positive";
-    }
-    if (entry.has("sharded_events_per_sec")) {
-      if (!(entry["sharded_events_per_sec"].as_number() > 0)) {
-        return "entry " + std::to_string(i) +
-               ": sharded_events_per_sec not positive";
-      }
-      if (!(entry["sharded_shards"].as_number() >= 1)) {
-        return "entry " + std::to_string(i) +
-               ": sharded_shards missing or < 1";
-      }
+    const std::string problem = validate_entry(entry);
+    if (!problem.empty()) {
+      return "entry " + std::to_string(i) + ": " + problem;
     }
     ++i;
   }
@@ -527,8 +483,8 @@ int main_impl(int argc, char** argv) {
       out_path = arg;
     }
   }
-  // Gate mode refuses to extend a malformed trajectory: catching a bad
-  // entry here (hand-edit, merge damage) beats silently gating against it.
+  // Gate mode refuses a malformed trajectory: catching a bad entry here
+  // (hand-edit, merge damage) beats silently gating against it.
   if (gate) {
     const std::string problem = validate_trajectory(out_path);
     if (!problem.empty()) {
@@ -537,7 +493,6 @@ int main_impl(int argc, char** argv) {
       return 2;
     }
   }
-  // Read the best committed entry BEFORE appending this run's.
   const double best_prior =
       gate ? best_trajectory_events_per_sec(out_path) : 0.0;
 
@@ -575,16 +530,6 @@ int main_impl(int argc, char** argv) {
             << "  round wall      : " << fmt(causal.round_wall_sec, 3) << " s ("
             << causal.round_runs << " runs of a 20-s scenario)\n";
 
-  const ShardedProbeResult sharded = run_sharded_probe(reps);
-  std::cout << "\nsharded probe (same sim + 500 us wire, serial vs shards="
-            << sharded.shards << "):\n"
-            << "  serial events/s : "
-            << fmt(sharded.serial_events_per_sec / 1e6, 3) << " M\n"
-            << "  sharded events/s: " << fmt(sharded.events_per_sec / 1e6, 3)
-            << " M\n"
-            << "  window overhead : " << fmt(sharded.overhead_pct, 2)
-            << " %\n";
-
   const TopoSynthProbeResult topo_synth = run_topo_synth_probe(reps);
   std::cout << "\ntopology synthesis probe (" << topo_synth.services
             << " services, median of " << reps << "):\n"
@@ -612,12 +557,6 @@ int main_impl(int argc, char** argv) {
   o.field("engine_events_per_sec", engine.events_per_sec);
   o.field("engine_wall_ms_per_sim_sec", engine.wall_ms_per_sim_sec);
   o.field("probe_reps", static_cast<std::uint64_t>(reps));
-  if (sharded.ran) {
-    o.field("sharded_events_per_sec", sharded.events_per_sec);
-    o.field("sharded_serial_events_per_sec", sharded.serial_events_per_sec);
-    o.field("sharded_shards", static_cast<std::uint64_t>(sharded.shards));
-    o.field("sharded_overhead_pct", sharded.overhead_pct);
-  }
   if (topo_synth.services_per_sec > 0) {
     o.field("topo_synth_services", static_cast<std::uint64_t>(topo_synth.services));
     o.field("topo_synth_wall_sec", topo_synth.wall_sec);
@@ -640,41 +579,40 @@ int main_impl(int argc, char** argv) {
   o.field("causal_round_runs", causal.round_runs);
   o.field("host_hardware_concurrency",
           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  append_trajectory(out_path, o.str());
-  std::cout << "\nappended to " << out_path << "\n";
-
-  // Re-validate with this run's entry included: a fresh suspect overhead
-  // measurement must fail the gate, not get committed for the next run to
-  // trip over.
-  if (gate) {
-    const std::string problem = validate_trajectory(out_path);
-    if (!problem.empty()) {
-      std::cout << "perf gate: FAIL — " << problem << "\n";
-      return 2;
-    }
+  if (!gate) {
+    append_trajectory(out_path, o.str());
+    std::cout << "\nappended to " << out_path << "\n";
+    return sweep.identical ? 0 : 1;
   }
 
-  if (gate) {
-    double pct = 10.0;
-    if (const char* env = std::getenv("SORA_PERF_GATE_PCT")) {
-      const double v = std::atof(env);
-      if (v > 0) pct = v;
+  // A suspect overhead measurement fails the gate like a slow run does.
+  ctl::JsonValue entry;
+  const std::string problem = ctl::parse_json(o.str(), &entry)
+                                  ? validate_entry(entry)
+                                  : "unparsable entry";
+  if (!problem.empty()) {
+    std::cout << "perf gate: FAIL — this run: " << problem << "\n";
+    return 2;
+  }
+  double pct = 10.0;
+  if (const char* env = std::getenv("SORA_PERF_GATE_PCT")) {
+    const double v = std::atof(env);
+    if (v > 0) pct = v;
+  }
+  if (best_prior <= 0) {
+    std::cout << "perf gate: no prior trajectory entry; nothing to gate\n";
+  } else {
+    const double floor = best_prior * (1.0 - pct / 100.0);
+    std::cout << "perf gate: current " << fmt(engine.events_per_sec / 1e6, 3)
+              << " M ev/s vs best committed " << fmt(best_prior / 1e6, 3)
+              << " M (floor " << fmt(floor / 1e6, 3) << " M, -"
+              << fmt(pct, 0) << "%)\n";
+    if (engine.events_per_sec < floor) {
+      std::cout << "perf gate: FAIL — events/sec regressed beyond "
+                << fmt(pct, 0) << "%\n";
+      return 2;
     }
-    if (best_prior <= 0) {
-      std::cout << "perf gate: no prior trajectory entry; nothing to gate\n";
-    } else {
-      const double floor = best_prior * (1.0 - pct / 100.0);
-      std::cout << "perf gate: current " << fmt(engine.events_per_sec / 1e6, 3)
-                << " M ev/s vs best committed "
-                << fmt(best_prior / 1e6, 3) << " M (floor "
-                << fmt(floor / 1e6, 3) << " M, -" << fmt(pct, 0) << "%)\n";
-      if (engine.events_per_sec < floor) {
-        std::cout << "perf gate: FAIL — events/sec regressed beyond "
-                  << fmt(pct, 0) << "%\n";
-        return 2;
-      }
-      std::cout << "perf gate: OK\n";
-    }
+    std::cout << "perf gate: OK\n";
   }
   return sweep.identical ? 0 : 1;
 }

@@ -188,19 +188,15 @@ void ServiceInstance::issue_call(Visit* v, std::size_t group_index,
   // captures past UniqueFunction's inline buffer.
   auto launch = [this, v, child_id = child.id, child_slot = child.slot, gate,
                  target, group_index, call_slot] {
-    Application& app2 = svc_.app();
-    // Request hop: caller's shard -> target's shard.
-    app2.deliver(svc_, target->shard(),
-                 [this, v, child_id, child_slot, gate, target, group_index,
-                  call_slot] {
+    // Request hop: caller -> target.
+    svc_.app().deliver([this, v, child_id, child_slot, gate, target,
+                        group_index, call_slot] {
       target->dispatch(
           SpanRef{v->span.trace, child_id, child_slot},
           RequestMeta{v->request_class, v->priority, v->deadline},
-          [this, v, gate, target, group_index, call_slot] {
-            Application& app3 = svc_.app();
-            // Response hop: runs on the target's shard, back to the caller.
-            app3.deliver(*target, svc_.shard(),
-                         [this, v, gate, group_index, call_slot] {
+          [this, v, gate, group_index, call_slot] {
+            // Response hop: target -> caller.
+            svc_.app().deliver([this, v, gate, group_index, call_slot] {
               if (gate != nullptr) gate->release();
               Tracer& t = svc_.app().tracer();
               Span& p = t.span(v->span);
@@ -247,10 +243,9 @@ void ServiceInstance::issue_async_callbacks(Visit* v) {
                                         .slot = child.slot});
     // No deadline: the user's response already departed, so there is
     // nothing left for the callback to be late for.
-    app.deliver(svc_, target->shard(),
-                [target, child, cls = cb.request_class, prio = cb.priority] {
-                  target->dispatch(child, RequestMeta{cls, prio, 0}, [] {});
-                });
+    app.deliver([target, child, cls = cb.request_class, prio = cb.priority] {
+      target->dispatch(child, RequestMeta{cls, prio, 0}, [] {});
+    });
   }
 }
 

@@ -111,12 +111,9 @@ struct SpanRef {
 };
 
 /// A completed request trace: the root span plus all descendants.
-/// Spans are stored in creation order; spans[0] is the root. (In sharded
-/// runs the tracer rewrites completed traces into canonical DFS order with
-/// per-trace span ids — see Tracer::set_canonical_ids — so creation-order
-/// differences between shard interleavings never escape.) A deque rather
+/// Spans are stored in creation order; spans[0] is the root. A deque rather
 /// than a vector: appending a span must not invalidate references to spans
-/// already held by concurrently executing shard lanes.
+/// that callers still hold from Tracer::span().
 ///
 /// A completed trace also carries its critical path, extracted on first use
 /// by critical_path_of() and shared by every copy made afterwards (the

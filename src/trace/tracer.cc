@@ -1,13 +1,10 @@
 #include "trace/tracer.h"
 
-#include <algorithm>
 #include <cassert>
-#include <vector>
 
 namespace sora {
 
 TraceId Tracer::begin_trace(int request_class, SimTime now) {
-  MaybeLock lock(mu_, thread_safe_);
   const TraceId id = trace_ids_.next();
   OpenTrace open;
   open.trace.id = id;
@@ -20,7 +17,6 @@ TraceId Tracer::begin_trace(int request_class, SimTime now) {
 SpanRef Tracer::start_span(TraceId trace, SpanRef parent, ServiceId service,
                            InstanceId instance, int request_class,
                            SimTime arrival) {
-  MaybeLock lock(mu_, thread_safe_);
   auto it = open_.find(trace.value());
   assert(it != open_.end() && "start_span on unknown trace");
   OpenTrace& open = it->second;
@@ -55,7 +51,6 @@ Tracer::OpenTrace& Tracer::open_trace(SpanRef ref) {
 }
 
 Span& Tracer::span(SpanRef ref) {
-  MaybeLock lock(mu_, thread_safe_);
   return open_trace(ref).trace.spans[ref.slot];
 }
 
@@ -83,86 +78,7 @@ void Tracer::report_span(const Span& s) {
   if (fate == SpanFate::kDeliver) deliver_span(s);
 }
 
-void Tracer::canonicalize(Trace& t) {
-  // Raw span ids come from a shared counter and spans sit in creation
-  // order — both depend on how shard lanes interleaved. The call tree does
-  // not: parents record their ChildCalls in issue order. Rewrite the trace
-  // into that intrinsic form: spans in depth-first call order, ids = 1-based
-  // DFS position, slots = DFS position.
-  if (t.spans.empty()) return;
-  const std::size_t n = t.spans.size();
-
-  std::vector<std::uint32_t> order;
-  order.reserve(n);
-  // pos[old slot] = new slot; kNoSlot until the span is placed.
-  std::vector<std::uint32_t> pos(n, kNoSlot);
-  const auto place = [&](std::uint32_t slot) {
-    pos[slot] = static_cast<std::uint32_t>(order.size());
-    order.push_back(slot);
-  };
-  // Iterative DFS; the explicit stack holds (span slot, next child).
-  std::vector<std::pair<std::uint32_t, std::size_t>> stack;
-  stack.emplace_back(0, 0);
-  place(0);
-  while (!stack.empty()) {
-    auto& [slot, child] = stack.back();
-    const Span& s = t.spans[slot];
-    if (child >= s.children.size()) {
-      stack.pop_back();
-      continue;
-    }
-    const ChildCall& call = s.children[child++];
-    const std::uint32_t next = t.find(call.child, call.slot);
-    if (next == kNoSlot || pos[next] != kNoSlot) continue;
-    place(next);
-    stack.emplace_back(next, 0);
-  }
-  // Defensive: spans unreachable from the root (should not happen — every
-  // start_span is paired with a ChildCall) are appended in a stable order
-  // that does not depend on creation order.
-  std::vector<std::uint32_t> stray;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (pos[i] == kNoSlot) stray.push_back(i);
-  }
-  std::sort(stray.begin(), stray.end(), [&t](std::uint32_t a, std::uint32_t b) {
-    const Span& sa = t.spans[a];
-    const Span& sb = t.spans[b];
-    if (sa.arrival != sb.arrival) return sa.arrival < sb.arrival;
-    if (sa.service.value() != sb.service.value()) {
-      return sa.service.value() < sb.service.value();
-    }
-    return sa.departure < sb.departure;
-  });
-  for (const std::uint32_t slot : stray) place(slot);
-
-  // Rewrite the links first, while every span still carries its raw id for
-  // Trace::find to check; then renumber and reorder.
-  for (Span& s : t.spans) {
-    if (s.parent.valid()) {
-      const std::uint32_t parent = t.find(s.parent, s.parent_slot);
-      s.parent = parent != kNoSlot ? SpanId(pos[parent] + 1) : SpanId{};
-      s.parent_slot = parent != kNoSlot ? pos[parent] : kNoSlot;
-    }
-    for (ChildCall& c : s.children) {
-      const std::uint32_t child = t.find(c.child, c.slot);
-      if (child == kNoSlot) {
-        c.slot = static_cast<std::uint32_t>(n);  // stays missing
-        continue;
-      }
-      c.child = SpanId(pos[child] + 1);
-      c.slot = pos[child];
-    }
-  }
-  std::deque<Span> out;
-  for (const std::uint32_t slot : order) {
-    out.push_back(std::move(t.spans[slot]));
-    out.back().id = SpanId(pos[slot] + 1);
-  }
-  t.spans = std::move(out);
-}
-
 void Tracer::finish_span(SpanRef ref, SimTime departure) {
-  MaybeLock lock(mu_, thread_safe_);
   OpenTrace& open = open_trace(ref);
 
   Span& s = open.trace.spans[ref.slot];
@@ -179,10 +95,6 @@ void Tracer::finish_span(SpanRef ref, SimTime departure) {
   }
 
   if (!open.root_finished || open.open_spans > 0) {
-    // Listeners run outside the lock: their state is lane-confined and the
-    // span reference stays valid (deque storage; only begin_trace — entry
-    // lane only — inserts into the open-trace table).
-    lock.unlock();
     if (is_root) {
       for (const auto& listener : root_listeners_) listener(open.trace);
     }
@@ -196,7 +108,6 @@ void Tracer::finish_span(SpanRef ref, SimTime departure) {
   Trace done = std::move(open.trace);
   open_.erase(ref.trace.value());
   ++traces_completed_;
-  lock.unlock();
 
   // The closing span moved with the trace and kept its slot.
   const Span& closing = done.spans[ref.slot];
@@ -206,16 +117,14 @@ void Tracer::finish_span(SpanRef ref, SimTime departure) {
   report_span(closing);
   if (!is_root && deferred_delivery_) {
     // The trace outlived its root (async callbacks): hand it off so the
-    // harness can route assembly back to the entry lane.
-    const ServiceId last_service = closing.service;
-    deferred_delivery_(std::move(done), last_service);
+    // harness can carry the report back over the network first.
+    deferred_delivery_(std::move(done));
     return;
   }
   deliver_trace(std::move(done));
 }
 
 void Tracer::deliver_trace(Trace&& done) {
-  if (canonical_ids_) canonicalize(done);
   if (trace_finalizer_) trace_finalizer_(done);
   for (const auto& listener : trace_listeners_) listener(done);
 }

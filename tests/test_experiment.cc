@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/sock_shop.h"
 #include "test_util.h"
@@ -153,6 +155,63 @@ TEST(Experiment, DeterministicWithSameSeed) {
   EXPECT_EQ(a.injected, b.injected);
   EXPECT_DOUBLE_EQ(a.p99_ms, b.p99_ms);
   EXPECT_NE(a.injected, c.injected);
+}
+
+/// When each stored trace reached the warehouse, next to the departure of
+/// its last-closing span.
+struct DeferredStore {
+  std::size_t traces = 0;
+  std::size_t outlived_root = 0;  ///< traces whose last span closed late
+  std::vector<SimTime> store_minus_close;
+};
+
+/// front answers the user, then notifies `d` asynchronously; d's work
+/// outlives the response, so every trace assembles after its root departs.
+DeferredStore run_async_callback_app(SimTime network_latency) {
+  ApplicationConfig app;
+  ServiceConfig front;
+  front.name = "front";
+  front.with_cores(2).with_entry_pool(32).with_demand(0, 300, 100, 0.3);
+  front.with_async_callback(0, "d", 1);
+  app.services.push_back(front);
+  ServiceConfig d;
+  d.name = "d";
+  d.with_cores(2).with_entry_pool(32).with_demand(1, 2000, 0, 0.3);
+  app.services.push_back(d);
+  app.entry_service[0] = "front";
+  app.network_latency = network_latency;
+
+  ExperimentConfig cfg;
+  cfg.duration = sec(3);
+  cfg.seed = 5;
+  Experiment exp(std::move(app), cfg);
+  DeferredStore out;
+  exp.warehouse().add_store_listener([&out, &exp](const Trace& t) {
+    ++out.traces;
+    SimTime last_close = t.end;
+    for (const Span& s : t.spans) {
+      last_close = std::max(last_close, s.departure);
+    }
+    if (last_close > t.end) ++out.outlived_root;
+    out.store_minus_close.push_back(exp.sim().now() - last_close);
+  });
+  exp.closed_loop(4, msec(20));
+  exp.run();
+  return out;
+}
+
+// A trace that outlives its root reaches the trace listeners one network
+// hop after its last span closes — the report travels back over the wire —
+// and at the close itself when the wire is instantaneous.
+TEST(Experiment, DeferredTraceArrivesOneNetworkLatencyAfterLastClose) {
+  for (const SimTime latency : {usec(500), SimTime{0}}) {
+    const DeferredStore out = run_async_callback_app(latency);
+    ASSERT_GT(out.traces, 50u) << "latency " << latency;
+    EXPECT_EQ(out.outlived_root, out.traces) << "latency " << latency;
+    for (const SimTime gap : out.store_minus_close) {
+      ASSERT_EQ(gap, latency);
+    }
+  }
 }
 
 TEST(Experiment, SloAnalyticsDetectsEpisodesAndAttributes) {

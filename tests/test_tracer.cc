@@ -289,7 +289,7 @@ TEST(SpanRef, ClosingSpanReportedIsTheOneThatClosed) {
 // An async callback span outliving the root defers assembly: the root
 // listener fires at the root's departure, the trace assembles when the
 // callback closes (it is the closing span reported), and the deferred hook
-// receives the whole tree with the callback's service.
+// receives the whole tree.
 TEST(SpanRef, AsyncCallbackTraceAssemblesSameTree) {
   Tracer tracer;
   std::vector<Trace> done;
@@ -299,11 +299,7 @@ TEST(SpanRef, AsyncCallbackTraceAssemblesSameTree) {
   std::vector<SpanId> reported;
   tracer.add_span_listener([&](const Span& s) { reported.push_back(s.id); });
   std::optional<Trace> deferred;
-  ServiceId deferred_service;
-  tracer.set_deferred_delivery([&](Trace&& t, ServiceId last) {
-    deferred = std::move(t);
-    deferred_service = last;
-  });
+  tracer.set_deferred_delivery([&](Trace&& t) { deferred = std::move(t); });
 
   const TraceId tid = tracer.begin_trace(0, 0);
   const SpanRef root =
@@ -330,7 +326,6 @@ TEST(SpanRef, AsyncCallbackTraceAssemblesSameTree) {
   EXPECT_EQ(roots, 1);
   EXPECT_EQ(reported, (std::vector<SpanId>{sync.id, root.id, async.id}));
   ASSERT_TRUE(deferred.has_value());
-  EXPECT_EQ(deferred_service, ServiceId(3));
   EXPECT_TRUE(done.empty());
   EXPECT_EQ(tracer.open_traces(), 0u);
 
@@ -353,64 +348,6 @@ TEST(SpanRef, AsyncCallbackTraceAssemblesSameTree) {
   EXPECT_EQ(t.spans[2].departure, 50);
 }
 
-// Canonical-id mode rewrites the assembled trace into DFS call order with
-// ids 1..N, independent of creation order — while the handles used during
-// the trace's life keep addressing raw creation slots.
-TEST(SpanRef, CanonicalIdsAssembleSameTree) {
-  Tracer tracer;
-  tracer.set_canonical_ids(true);
-  std::vector<Trace> done;
-  tracer.add_trace_listener([&](const Trace& t) { done.push_back(t); });
-
-  // Creation order: root, c1, c2, g (child of c1, opened after c2).
-  const TraceId tid = tracer.begin_trace(0, 0);
-  const SpanRef root =
-      tracer.start_span(tid, SpanRef{}, ServiceId(1), InstanceId{}, 0, 0);
-  const SpanRef c1 =
-      tracer.start_span(tid, root, ServiceId(2), InstanceId{}, 0, 1);
-  const SpanRef c2 =
-      tracer.start_span(tid, root, ServiceId(3), InstanceId{}, 0, 2);
-  tracer.span(root).children.push_back(
-      ChildCall{c1.id, 0, 1, 0, false, c1.slot});
-  tracer.span(root).children.push_back(
-      ChildCall{c2.id, 0, 2, 0, false, c2.slot});
-  const SpanRef g =
-      tracer.start_span(tid, c1, ServiceId(4), InstanceId{}, 0, 3);
-  tracer.span(c1).children.push_back(
-      ChildCall{g.id, 0, 3, 0, false, g.slot});
-  EXPECT_EQ(tracer.span(g).service, ServiceId(4));
-  tracer.finish_span(g, 10);
-  tracer.finish_span(c2, 11);
-  tracer.finish_span(c1, 12);
-  tracer.finish_span(root, 13);
-
-  ASSERT_EQ(done.size(), 1u);
-  const Trace& t = done.front();
-  ASSERT_EQ(t.spans.size(), 4u);
-  const std::vector<std::uint64_t> services{1, 2, 4, 3};  // DFS order
-  for (std::size_t k = 0; k < 4; ++k) {
-    EXPECT_EQ(t.spans[k].id, SpanId(k + 1)) << k;
-    EXPECT_EQ(t.spans[k].service, ServiceId(services[k])) << k;
-  }
-  EXPECT_FALSE(t.spans[0].parent.valid());
-  EXPECT_EQ(t.spans[1].parent, SpanId(1));
-  EXPECT_EQ(t.spans[2].parent, SpanId(2));
-  EXPECT_EQ(t.spans[3].parent, SpanId(1));
-  ASSERT_EQ(t.spans[0].children.size(), 2u);
-  EXPECT_EQ(t.spans[0].children[0].child, SpanId(2));
-  EXPECT_EQ(t.spans[0].children[1].child, SpanId(4));
-  ASSERT_EQ(t.spans[1].children.size(), 1u);
-  EXPECT_EQ(t.spans[1].children[0].child, SpanId(3));
-  EXPECT_EQ(t.spans[2].departure, 10);
-  // Slots follow the new order: g moved from creation slot 3 to DFS slot 2.
-  EXPECT_EQ(t.spans[0].children[0].slot, 1u);
-  EXPECT_EQ(t.spans[0].children[1].slot, 3u);
-  EXPECT_EQ(t.spans[1].children[0].slot, 2u);
-  EXPECT_EQ(t.spans[1].parent_slot, 0u);
-  EXPECT_EQ(t.spans[2].parent_slot, 1u);
-  EXPECT_EQ(t.spans[3].parent_slot, 0u);
-}
-
 // -- slot-linked span tree ----------------------------------------------------
 
 /// What check_slot_links saw, so a test can insist its traces had the
@@ -420,7 +357,6 @@ struct LinkCoverage {
   std::size_t links = 0;
   std::size_t async_links = 0;
   std::size_t parallel_links = 0;  ///< calls sharing a group with a sibling
-  std::size_t canonical = 0;       ///< traces with span ids 1..N
 };
 
 /// Every span link of `t` resolves by slot to the span it names, and the
@@ -431,10 +367,8 @@ void check_slot_links(const Trace& t, LinkCoverage& cov) {
   const std::size_t n = t.spans.size();
   ASSERT_GT(n, 0u);
   EXPECT_FALSE(t.spans[0].parent.valid());
-  bool canonical = true;
   for (std::size_t i = 0; i < n; ++i) {
     const Span& s = t.spans[i];
-    canonical = canonical && s.id == SpanId(i + 1);
     if (i > 0) {
       ASSERT_LT(s.parent_slot, n) << "trace " << t.id.value() << " span " << i;
       const Span& parent = t.spans[s.parent_slot];
@@ -459,7 +393,6 @@ void check_slot_links(const Trace& t, LinkCoverage& cov) {
       if (group_size > 1) ++cov.parallel_links;
     }
   }
-  if (canonical) ++cov.canonical;
 }
 
 /// front calls {a, b} in parallel, then c; a calls e, so e opens after b
@@ -489,15 +422,12 @@ ApplicationConfig linked_app() {
   return app;
 }
 
-LinkCoverage run_linked_app(int shards) {
+LinkCoverage run_linked_app() {
   ExperimentConfig cfg;
   cfg.duration = sec(5);
   cfg.sla = msec(100);
   cfg.seed = 3;
-  ApplicationConfig app = linked_app();
-  if (shards > 0) app.network_latency = usec(300);
-  Experiment exp(app, cfg);
-  if (shards > 0) exp.set_shards(shards);
+  Experiment exp(linked_app(), cfg);
   LinkCoverage cov;
   exp.tracer().add_trace_listener(
       [&cov](const Trace& t) { check_slot_links(t, cov); });
@@ -510,20 +440,9 @@ LinkCoverage run_linked_app(int shards) {
 // sequential and nested calls, and an async callback that outlives the
 // response. Every link the tracer stamped must address the right span.
 TEST(SlotLinks, LiveTracesAddressTheirSpans) {
-  const LinkCoverage cov = run_linked_app(/*shards=*/0);
+  const LinkCoverage cov = run_linked_app();
   EXPECT_GT(cov.traces, 100u);
   // front->{a, b}, a->e, front->c, c->a, a->e, c->d (async).
-  EXPECT_EQ(cov.links, cov.traces * 7);
-  EXPECT_EQ(cov.async_links, cov.traces);
-  EXPECT_EQ(cov.parallel_links, cov.traces * 2);
-}
-
-// Sharded runs canonicalize every trace (DFS order, ids 1..N), which moves
-// e ahead of b; the slots must move with the spans they point at.
-TEST(SlotLinks, CanonicalizedShardedTracesAddressTheirSpans) {
-  const LinkCoverage cov = run_linked_app(/*shards=*/2);
-  EXPECT_GT(cov.traces, 100u);
-  EXPECT_EQ(cov.canonical, cov.traces);
   EXPECT_EQ(cov.links, cov.traces * 7);
   EXPECT_EQ(cov.async_links, cov.traces);
   EXPECT_EQ(cov.parallel_links, cov.traces * 2);
